@@ -79,7 +79,7 @@ pub fn run_json() -> String {
 }
 
 fn d(db: &Cluster, before: &MetricsSnapshot) -> MetricsSnapshot {
-    db.metrics().since(before)
+    db.snapshot() - *before
 }
 
 /// Drop every volume's cache (cold-cache scans) after flushing dirt.
@@ -762,7 +762,7 @@ pub fn e7() -> String {
         }
         sim.clock.advance(1_000_000);
         trail.durable_lsn(sim.now()); // settle the final group
-        let flushes = sim.metrics.audit_flushes.get();
+        let flushes = sim.snapshot().audit_flushes;
         (flushes, n as f64 / flushes as f64, total_latency / n)
     };
 
@@ -818,7 +818,7 @@ pub fn e8() -> String {
         let t0 = db.sim.now();
         let n = w.run_count(&db, &w.q_scan_all()).unwrap();
         assert_eq!(n, rows as usize);
-        (db.metrics().since(&before), db.sim.now() - t0)
+        (db.snapshot() - before, db.sim.now() - t0)
     };
 
     let mut t = Table::new(
@@ -874,7 +874,7 @@ pub fn e8() -> String {
         ))
         .unwrap();
         let _ = w;
-        db.metrics().since(&before)
+        db.snapshot() - before
     };
     let mut t2 = Table::new(
         "E8b — subset update: write-behind of aged dirty strings",
@@ -931,7 +931,7 @@ fn e9_table() -> Table {
             }
             db.txnmgr.commit(txn, s.cpu()).unwrap();
         }
-        (db.metrics().since(&before), db.sim.now() - t0)
+        (db.snapshot() - before, db.sim.now() - t0)
     };
 
     let (sql, sql_time) = run(true);
@@ -1921,7 +1921,7 @@ pub fn e19_table() -> Table {
         let wait = db.sim.wait_profile() - w0;
         let elapsed = db.sim.now() - t0;
         db.disable_faults();
-        (wait, elapsed, db.metrics().snapshot().fs_retries)
+        (wait, elapsed, db.snapshot().fs_retries)
     };
     let (wait, elapsed, _) = bank_run(None);
     push(&mut t, "E9 DebitCredit x100 (fault-free)", &wait, elapsed);
@@ -2647,6 +2647,44 @@ mod tests {
             .parse()
             .unwrap();
         assert!(vfactor >= 3.0 * factor, "VSBB must beat RSBB by ≥3x again");
+    }
+
+    #[test]
+    fn experiments_md_quotes_the_e2_elapsed_ratios() {
+        let t = e2_table();
+        let elapsed = |row: usize| -> f64 {
+            t.rows[row][4]
+                .trim_end_matches(" ms")
+                .parse()
+                .expect("elapsed cell is rendered as `<ms> ms`")
+        };
+        let rsbb = format!("{:.1}x", elapsed(0) / elapsed(1));
+        let vsbb = format!("{:.1}x", elapsed(1) / elapsed(2));
+        let doc = include_str!("../../../EXPERIMENTS.md");
+        let claims: Vec<&str> = doc.lines().filter(|l| l.starts_with("| E2 |")).collect();
+        assert_eq!(
+            claims.len(),
+            2,
+            "EXPERIMENTS.md has one RSBB and one VSBB claim row"
+        );
+        assert!(
+            claims[0].contains(&format!("**{rsbb}** blended virtual elapsed time")),
+            "RSBB claim row must quote {rsbb}: {}",
+            claims[0]
+        );
+        assert!(
+            claims[1].contains(&format!("blended virtual elapsed time only **{vsbb}**")),
+            "VSBB claim row must quote {vsbb}: {}",
+            claims[1]
+        );
+        let vsbb_times = vsbb.replace('x', "×");
+        assert!(
+            claims[1].ends_with(&format!(
+                "| reproduced on messages, not end to end ({vsbb_times} elapsed) |"
+            )),
+            "VSBB verdict must quote {vsbb_times}: {}",
+            claims[1]
+        );
     }
 
     #[test]

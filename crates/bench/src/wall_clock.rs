@@ -2,8 +2,8 @@
 //!
 //! Everything inside the simulator runs on `nsql_sim` virtual time so that
 //! traces replay byte-identically; `nsql-lint` bans `Instant`/`SystemTime`
-//! everywhere else (see `lint.toml` `[wall_clock] allow`). The bench
-//! harness legitimately needs real elapsed time — it measures the
+//! everywhere else (see `lint.toml` `[wall_clock] allow`). The benchmark
+//! (`perfbench/`) legitimately needs real elapsed time — it measures the
 //! *implementation's* cost, not the simulation's — so it goes through this
 //! one audited helper.
 

@@ -143,15 +143,13 @@ impl BufferPool {
             // covers the latency (that is the point of pre-fetch).
             if let Some(ready) = f.ready_at.take() {
                 self.sim.clock.advance_to_in(Wait::Disk, ready);
-                self.sim.metrics.prefetch_hits.inc();
+                self.rec.bump(Ctr::PrefetchHits);
             }
-            self.sim.metrics.cache_hits.inc();
             self.rec.bump(Ctr::CacheHits);
             let _ = opts;
             return Ok(f.data.clone());
         }
 
-        self.sim.metrics.cache_misses.inc();
         self.rec.bump(Ctr::CacheFaults);
         // Miss: choose the string length.
         let run = if opts.bulk {
@@ -298,7 +296,6 @@ impl BufferPool {
                 }
                 self.disk.write(victim, std::slice::from_ref(&f.data))?;
             }
-            self.sim.metrics.cache_steals.inc();
             evicted += 1;
         }
         if evicted > 0 {
@@ -407,7 +404,6 @@ impl BufferPool {
         let take = clean.len().min(n);
         for (_, b) in clean.into_iter().take(take) {
             inner.frames.remove(&b);
-            self.sim.metrics.cache_steals.inc();
         }
         self.rec.add(Ctr::CacheEvicts, take as u64);
         take
@@ -463,10 +459,10 @@ mod tests {
     fn hit_after_miss() {
         let (sim, disk, pool) = setup(16);
         fill_disk(&disk, 4);
-        let before = sim.metrics.snapshot();
+        let before = sim.snapshot();
         assert_eq!(pool.read(2).unwrap(), vec![2u8; 64]);
         assert_eq!(pool.read(2).unwrap(), vec![2u8; 64]);
-        let d = sim.metrics.since(&before);
+        let d = sim.snapshot() - before;
         assert_eq!(d.cache_misses, 1);
         assert_eq!(d.cache_hits, 1);
     }
@@ -494,10 +490,10 @@ mod tests {
         pool.read(8).unwrap(); // evicts block 1 (oldest)
         assert_eq!(pool.cached_frames(), 8);
         // Re-reading 0 is a hit; 1 is a miss.
-        let before = sim.metrics.snapshot();
+        let before = sim.snapshot();
         pool.read(0).unwrap();
         pool.read(1).unwrap();
-        let d = sim.metrics.since(&before);
+        let d = sim.snapshot() - before;
         assert_eq!(d.cache_hits, 1);
         assert_eq!(d.cache_misses, 1);
     }
@@ -506,7 +502,7 @@ mod tests {
     fn bulk_scan_reads_strings() {
         let (sim, disk, pool) = setup(32);
         fill_disk(&disk, 14);
-        let before = sim.metrics.snapshot();
+        let before = sim.snapshot();
         for b in 0..14 {
             pool.read_scan(
                 b,
@@ -517,7 +513,7 @@ mod tests {
             )
             .unwrap();
         }
-        let d = sim.metrics.since(&before);
+        let d = sim.snapshot() - before;
         assert_eq!(d.disk_reads, 2, "14 blocks = two 7-block strings");
         assert_eq!(d.disk_blocks_read, 14);
         assert_eq!(d.cache_misses, 2);
@@ -530,7 +526,7 @@ mod tests {
         // them asynchronously while the caller does CPU work.
         let (sim, disk, pool) = setup(32);
         fill_disk(&disk, 14);
-        let before = sim.metrics.snapshot();
+        let before = sim.snapshot();
         let opts = ScanOptions {
             bulk: true,
             prefetch: false,
@@ -542,7 +538,7 @@ mod tests {
             // Per-record CPU work between block reads.
             sim.clock.advance(20_000);
         }
-        let d = sim.metrics.since(&before);
+        let d = sim.snapshot() - before;
         assert!(d.prefetch_reads >= 1);
         assert!(d.prefetch_hits >= 1);
         assert_eq!(d.cache_misses, 1, "only the first miss was synchronous");
@@ -639,8 +635,8 @@ mod tests {
         assert_eq!(written, 4, "only the aged string goes out");
         assert_eq!(pool.dirty_frames(), 1);
         // One async bulk write of 4 blocks.
-        assert_eq!(sim.metrics.writebehind_writes.get(), 1);
-        assert_eq!(sim.metrics.disk_blocks_written.get(), 4 + 8);
+        assert_eq!(sim.snapshot().writebehind_writes, 1);
+        assert_eq!(sim.snapshot().disk_blocks_written, 4 + 8);
         assert!(gate.forces.lock().is_empty(), "write-behind never forces");
     }
 
@@ -655,7 +651,7 @@ mod tests {
         let stolen = pool.steal_clean(4);
         assert_eq!(stolen, 4);
         assert_eq!(pool.cached_frames(), 4);
-        assert!(sim.metrics.cache_steals.get() >= 4);
+        assert!(sim.snapshot().cache_steals >= 4);
         // The dirty frame survived stealing.
         assert_eq!(pool.dirty_frames(), 1);
     }

@@ -32,7 +32,7 @@ use nsql_msg::{Bus, CpuId};
 use nsql_records::{Row, Value};
 use nsql_sim::sync::{Mutex, RwLock};
 use nsql_sim::{
-    CostModel, Ctr, Histogram, MeasureReport, Metrics, MetricsSnapshot, Micros, Sim, TraceEvent,
+    CostModel, Ctr, Histogram, MeasureReport, MetricsSnapshot, Micros, Sim, TraceEvent,
     WaitProfile, COUNTER_NAMES,
 };
 use nsql_sql::ast::Statement;
@@ -338,7 +338,7 @@ impl Default for ClusterBuilder {
 
 /// A running simulated cluster: the "database".
 pub struct Cluster {
-    /// Simulation context (clock, cost model, metrics).
+    /// Simulation context (clock, cost model, MEASURE counters).
     pub sim: Sim,
     /// The message system.
     pub bus: Arc<Bus>,
@@ -357,6 +357,18 @@ pub struct Cluster {
     /// Registry behind `sys.sessions`: every session ever opened, by id.
     sessions: Mutex<BTreeMap<u64, SessionInfo>>,
     next_session: AtomicU64,
+}
+
+impl Drop for Cluster {
+    /// The bus and the servers registered on it hold each other, and so
+    /// does the path-switch hook; unregister them so the cluster is freed.
+    fn drop(&mut self) {
+        self.bus.set_path_switch(Arc::new(|_: &str| false));
+        for volume in self.volumes() {
+            self.bus.deregister(&volume);
+        }
+        self.bus.deregister(AUDIT_PROCESS);
+    }
 }
 
 /// One session's `sys.sessions` row.
@@ -410,14 +422,9 @@ impl Cluster {
         }
     }
 
-    /// The metrics registry.
-    pub fn metrics(&self) -> &Metrics {
-        &self.sim.metrics
-    }
-
-    /// Snapshot all counters.
+    /// Snapshot the paper's counters (computed from MEASURE).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.sim.metrics.snapshot()
+        self.sim.snapshot()
     }
 
     /// Re-bound the live trace ring (`sys.trace` reports the bound and the
@@ -446,7 +453,7 @@ impl Cluster {
                 if v > 0 {
                     snap.counters.push(Row(vec![
                         Value::Str(kind.tag().to_string()),
-                        Value::Str(name.clone()),
+                        Value::Str(name.to_string()),
                         Value::Str(COUNTER_NAMES[ci].to_string()),
                         Value::LargeInt(v as i64),
                     ]));
@@ -736,7 +743,8 @@ impl Cluster {
 /// and (when tracing is enabled) the trace events it produced.
 #[derive(Debug, Clone)]
 pub struct QueryStats {
-    /// Delta of every metric counter over the statement.
+    /// The paper's counters over the statement, computed from `measure`
+    /// and `wait`.
     pub metrics: MetricsSnapshot,
     /// Virtual time the statement took.
     pub elapsed_us: Micros,
@@ -834,7 +842,6 @@ impl Session<'_> {
     pub fn execute(&mut self, sql: &str) -> Result<Outcome, DbError> {
         self.cluster.session_update(self.id, |i| i.statements += 1);
         let sim = self.cluster.sim.clone();
-        let before = sim.metrics.snapshot();
         let measure_before = MeasureReport::capture(&sim);
         let t0 = sim.clock.now();
         let w0 = sim.wait_profile();
@@ -851,13 +858,13 @@ impl Session<'_> {
         let wait = sim.wait_profile() - w0;
         sim.hist.stmt_latency_us.record(elapsed);
         sim.hist.record_stmt_wait(&wait);
-        sim.metrics.record_stmt_wait(&wait);
+        let measure = MeasureReport::capture(&sim).since(&measure_before);
         self.last_stats = Some(QueryStats {
-            metrics: sim.metrics.snapshot() - before,
+            metrics: MetricsSnapshot::from_measure(&measure.snap, &wait),
             elapsed_us: elapsed,
             wait,
             trace: sim.trace.since(cursor),
-            measure: MeasureReport::capture(&sim).since(&measure_before),
+            measure,
         });
         out
     }
@@ -1070,12 +1077,12 @@ fn stmt_label(sql: &str) -> &'static str {
 
 /// Open one operator measurement window (EXPLAIN ANALYZE over DML).
 fn op_mark(sim: &Sim) -> (MetricsSnapshot, Micros) {
-    (sim.metrics.snapshot(), sim.clock.now())
+    (sim.snapshot(), sim.clock.now())
 }
 
 /// Close an operator measurement window into an [`OpStats`].
 fn close_op(sim: &Sim, label: String, rows: u64, mark: (MetricsSnapshot, Micros)) -> OpStats {
-    let d = sim.metrics.snapshot() - mark.0;
+    let d = sim.snapshot() - mark.0;
     OpStats {
         label,
         rows,

@@ -195,20 +195,14 @@ impl Disk {
         st.busy_until = end;
         st.next_sequential = Some(start + nblocks as u32);
 
-        let m = &self.sim.metrics;
         if is_write {
-            m.disk_writes.inc();
-            m.disk_blocks_written.add(nblocks as u64);
             self.rec.bump(Ctr::DiskWrites);
             self.rec.add(Ctr::BlocksWritten, nblocks as u64);
         } else {
-            m.disk_reads.inc();
-            m.disk_blocks_read.add(nblocks as u64);
             self.rec.bump(Ctr::DiskReads);
             self.rec.add(Ctr::BlocksRead, nblocks as u64);
         }
         if nblocks > 1 {
-            m.disk_bulk_ios.inc();
             self.rec.bump(Ctr::BulkIos);
         }
         if !synchronous && !is_write {
@@ -279,7 +273,6 @@ impl Disk {
             out.push(data.clone());
         }
         let end = self.account_io(&mut st, start, nblocks, false, false);
-        self.sim.metrics.prefetch_reads.inc();
         Ok((out, end))
     }
 
@@ -337,7 +330,7 @@ impl Disk {
             st.blocks[start as usize + i] = Some(data.clone());
         }
         let end = self.account_io(&mut st, start, blocks.len(), true, false);
-        self.sim.metrics.writebehind_writes.inc();
+        self.rec.bump(Ctr::WritebehindWrites);
         Ok(end)
     }
 
@@ -407,31 +400,15 @@ mod tests {
         let (sim, d) = disk();
         let blocks: Vec<_> = (0..7).map(|i| block(i, 512)).collect();
         d.write(0, &blocks).unwrap();
-        let s = sim.metrics.snapshot();
+        let s = sim.snapshot();
         assert_eq!(s.disk_writes, 1);
         assert_eq!(s.disk_blocks_written, 7);
         assert_eq!(s.disk_bulk_ios, 1);
         d.read(0, 7).unwrap();
-        let s = sim.metrics.snapshot();
+        let s = sim.snapshot();
         assert_eq!(s.disk_reads, 1);
         assert_eq!(s.disk_blocks_read, 7);
-    }
-
-    #[test]
-    fn volume_measure_record_mirrors_the_metrics() {
-        let (sim, d) = disk();
-        let blocks: Vec<_> = (0..7).map(|i| block(i, 512)).collect();
-        d.write(0, &blocks).unwrap();
-        d.read(0, 7).unwrap();
-        let snap = sim.measure_snapshot();
-        assert_eq!(snap.get(EntityKind::Volume, "$DATA1", Ctr::DiskWrites), 1);
-        assert_eq!(
-            snap.get(EntityKind::Volume, "$DATA1", Ctr::BlocksWritten),
-            7
-        );
-        assert_eq!(snap.get(EntityKind::Volume, "$DATA1", Ctr::DiskReads), 1);
-        assert_eq!(snap.get(EntityKind::Volume, "$DATA1", Ctr::BlocksRead), 7);
-        assert_eq!(snap.get(EntityKind::Volume, "$DATA1", Ctr::BulkIos), 2);
+        assert_eq!(s.disk_bulk_ios, 2);
     }
 
     #[test]
@@ -454,7 +431,7 @@ mod tests {
         // ... but the device is busy until `done`.
         assert!(done > now);
         assert_eq!(d.busy_until(), done);
-        assert_eq!(sim.metrics.prefetch_reads.get(), 1);
+        assert_eq!(sim.snapshot().prefetch_reads, 1);
     }
 
     #[test]

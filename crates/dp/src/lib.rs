@@ -380,7 +380,6 @@ impl DiskProcess {
         match self.locks.acquire(txn, file, scope.clone(), mode) {
             Ok(()) => Ok(()),
             Err(LockError::Conflict { holder }) => {
-                self.sim.metrics.lock_waits.inc();
                 self.rec.bump(Ctr::LockWaits);
                 // The blocked-then-bounced hop. Zero-cost by default, but
                 // whatever it costs lands in the wait.lock category.
@@ -394,7 +393,6 @@ impl DiskProcess {
                     .wait(txn, holder, file, scope, mode, self.sim.now())
                 {
                     Err(LockError::Deadlock { victim }) => {
-                        self.sim.metrics.deadlocks.inc();
                         self.rec.bump(Ctr::LockDeadlocks);
                         self.rec.bump(Ctr::DeadlockDetected);
                         self.rec.bump(Ctr::DeadlockVictims);
@@ -433,7 +431,6 @@ impl DiskProcess {
             // acquire() only bounces with Conflict; these arms are
             // defensive completeness.
             Err(LockError::Deadlock { victim }) => {
-                self.sim.metrics.deadlocks.inc();
                 self.rec.bump(Ctr::LockDeadlocks);
                 self.rec.bump(Ctr::DeadlockDetected);
                 self.rec.bump(Ctr::DeadlockVictims);
@@ -1047,7 +1044,6 @@ impl DiskProcess {
                 return ScanControl::Stop;
             }
             examined += 1;
-            self.sim.metrics.dp_records_examined.inc();
             frec.bump(Ctr::RecsExamined);
             let raw = RawRecord {
                 desc: &desc,
@@ -1069,7 +1065,6 @@ impl DiskProcess {
             };
             last_key = Some(k.to_vec());
             if selected {
-                self.sim.metrics.dp_records_selected.inc();
                 frec.bump(Ctr::RecsSelected);
                 if first_selected.is_none() {
                     first_selected = Some(k.to_vec());
@@ -1214,7 +1209,6 @@ impl DiskProcess {
                     let id = st.next_subset;
                     st.next_subset += 1;
                     st.subsets.insert(id, scb);
-                    self.sim.metrics.subset_control_blocks.inc();
                     self.scb_rec.bump(Ctr::ScbCreated);
                     Some(id)
                 }
@@ -1744,7 +1738,7 @@ impl DiskProcess {
             .map(|(_, reply)| reply.clone())
         {
             // The request already executed; only the reply was lost.
-            self.sim.metrics.dp_dup_suppressed.inc();
+            self.rec.bump(Ctr::DupSuppressed);
             self.sim.cpu_work(CpuLayer::DiskProcess, 1);
             return cached;
         }

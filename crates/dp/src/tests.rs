@@ -180,7 +180,7 @@ fn paper_example_1_vsbb_selection_projection() {
     }
     c.txnmgr.commit(txn, c.client).unwrap();
 
-    let before = c.sim.metrics.snapshot();
+    let before = c.sim.snapshot();
     let mut rows_total = 0usize;
     let mut reply = c.send(DpRequest::GetSubsetFirst {
         txn: None,
@@ -220,7 +220,7 @@ fn paper_example_1_vsbb_selection_projection() {
     }
     // EMPNO 0..=1000 with salary > 32000 (every 4th): 0,4,...,1000 = 251.
     assert_eq!(rows_total, 251);
-    let d = c.sim.metrics.since(&before);
+    let d = c.sim.snapshot() - before;
     assert!(d.msgs_redrive >= 1, "large subset must re-drive");
     assert!(d.subset_control_blocks >= 1);
     assert_eq!(d.dp_records_selected, 251);
@@ -235,7 +235,7 @@ fn paper_example_2_rsbb_full_scan() {
     let c = cluster();
     let file = c.create_emp();
     c.load_emps(file, 500);
-    let before = c.sim.metrics.snapshot();
+    let before = c.sim.snapshot();
     let mut got = 0usize;
     let mut reply = c.send(DpRequest::GetSubsetFirst {
         txn: None,
@@ -267,7 +267,7 @@ fn paper_example_2_rsbb_full_scan() {
         });
     }
     assert_eq!(got, 500);
-    let d = c.sim.metrics.since(&before);
+    let d = c.sim.snapshot() - before;
     // Blocked transfer: many records per message.
     assert!(
         (d.msgs_fs_dp as usize) < 500 / 10,
@@ -403,7 +403,7 @@ fn update_point_pushdown_is_one_message() {
     let c = cluster();
     let file = c.create_emp();
     c.load_emps(file, 10);
-    let before = c.sim.metrics.snapshot();
+    let before = c.sim.snapshot();
     let txn = c.txnmgr.begin();
     let sets = SetList {
         sets: vec![(
@@ -423,7 +423,7 @@ fn update_point_pushdown_is_one_message() {
         constraint: None,
     });
     assert!(matches!(reply, DpReply::Ok));
-    let d = c.sim.metrics.since(&before);
+    let d = c.sim.snapshot() - before;
     assert_eq!(d.msgs_fs_dp, 1, "no read-before-write message");
     c.txnmgr.commit(txn, c.client).unwrap();
     let DpReply::Record(Some(bytes)) = c.send(DpRequest::Read {
@@ -608,7 +608,7 @@ fn locks_conflict_and_release() {
     });
     assert!(matches!(reply, DpReply::Ok));
     c.txnmgr.commit(t2, c.client).unwrap();
-    assert!(c.sim.metrics.lock_waits.get() >= 1);
+    assert!(c.sim.snapshot().lock_waits >= 1);
 }
 
 #[test]
@@ -679,13 +679,13 @@ fn blocked_insert_is_one_message() {
             )
         })
         .collect();
-    let before = c.sim.metrics.snapshot();
+    let before = c.sim.snapshot();
     let reply = c.send(DpRequest::BlockedInsert { txn, file, records });
     let DpReply::Subset { affected, .. } = reply else {
         panic!()
     };
     assert_eq!(affected, 100);
-    let d = c.sim.metrics.since(&before);
+    let d = c.sim.snapshot() - before;
     assert_eq!(d.msgs_fs_dp, 1, "100 inserts in one message");
     c.txnmgr.commit(txn, c.client).unwrap();
     assert!(matches!(
@@ -728,7 +728,7 @@ fn time_slice_limits_monopolization() {
     c.load_emps(file, 200);
     // A very selective predicate returns nothing, but the DP still must
     // yield every 50 records examined.
-    let before = c.sim.metrics.snapshot();
+    let before = c.sim.snapshot();
     let mut reply = c.send(DpRequest::GetSubsetFirst {
         txn: None,
         file,
@@ -761,7 +761,7 @@ fn time_slice_limits_monopolization() {
         });
     }
     assert!(redrives >= 3);
-    let d = c.sim.metrics.since(&before);
+    let d = c.sim.snapshot() - before;
     assert_eq!(d.dp_records_selected, 0);
     assert_eq!(d.dp_records_examined, 200);
 }
@@ -882,7 +882,7 @@ fn checkpointing_sends_messages() {
         .register("$DATA1-B", CpuId::new(0, 2), Arc::new(BackupSink));
     let file = c.create_emp();
     c.load_emps(file, 10);
-    assert!(c.sim.metrics.msgs_checkpoint.get() >= 10);
+    assert!(c.sim.snapshot().msgs_checkpoint >= 10);
 }
 
 #[test]
@@ -922,7 +922,7 @@ fn audit_mode_full_vs_field_sizes() {
         });
         c.txnmgr.commit(txn, c.client).unwrap();
 
-        let before = c.sim.metrics.snapshot();
+        let before = c.sim.snapshot();
         let txn = c.txnmgr.begin();
         let mut new = old.clone();
         new[2] = Value::Double(107.0); // one 8-byte field of a ~190-byte record
@@ -934,7 +934,7 @@ fn audit_mode_full_vs_field_sizes() {
             audit,
         });
         c.txnmgr.commit(txn, c.client).unwrap();
-        c.sim.metrics.since(&before).audit_bytes
+        (c.sim.snapshot() - before).audit_bytes
     };
     let full = run(AuditMode::FullImage);
     let field = run(AuditMode::FieldCompressed);
@@ -956,7 +956,7 @@ fn bulk_io_and_prefetch_on_sequential_scan() {
     // Flush and drop the cache so the scan reads from disk.
     c.send(DpRequest::FlushCache);
     c.dp.pool().crash();
-    let before = c.sim.metrics.snapshot();
+    let before = c.sim.snapshot();
     let mut reply = c.send(DpRequest::GetSubsetFirst {
         txn: None,
         file,
@@ -984,7 +984,7 @@ fn bulk_io_and_prefetch_on_sequential_scan() {
             after: last_key.unwrap(),
         });
     }
-    let d = c.sim.metrics.since(&before);
+    let d = c.sim.snapshot() - before;
     assert!(d.disk_bulk_ios > 0, "sequential scan should use bulk I/O");
     assert!(
         d.disk_blocks_read > d.disk_reads,
@@ -1066,7 +1066,7 @@ fn dirty_steal_under_memory_pressure_forces_audit() {
     let file = c.create_emp();
     c.load_emps(file, 5000); // ~50 blocks, far beyond the 8-frame cache
 
-    let before = c.sim.metrics.snapshot();
+    let before = c.sim.snapshot();
     let txn = c.txnmgr.begin();
     // Touch records spread over many blocks so dirty pages get stolen
     // while the transaction is still open.
@@ -1082,7 +1082,7 @@ fn dirty_steal_under_memory_pressure_forces_audit() {
         });
         assert!(matches!(reply, DpReply::Ok), "{reply:?}");
     }
-    let d = c.sim.metrics.since(&before);
+    let d = c.sim.snapshot() - before;
     assert!(d.cache_steals > 0, "the 8-frame cache must steal");
     assert!(
         d.audit_flushes > 0,

@@ -371,10 +371,8 @@ impl FileSystem {
                 }
                 Err(e) if e.is_retriable() && attempt < self.retry.max_retries => {
                     attempt += 1;
-                    self.sim.metrics.fs_retries.inc();
                     self.rec.bump(Ctr::RetryBackoffs);
                     if matches!(e, BusError::CpuDown(_)) && self.bus.try_path_switch(to) {
-                        self.sim.metrics.path_switches.inc();
                         self.rec.bump(Ctr::PathTakeovers);
                         self.sim.trace_emit(|| TraceEventKind::PathSwitch {
                             to: to.to_string(),

@@ -197,7 +197,7 @@ fn range_scan_touches_only_needed_partition() {
     let w = world(&["$DATA1", "$DATA2", "$IDX"]);
     let of = create_partitioned_emp(&w);
     load(&w, &of, 1000);
-    let before = w.sim.metrics.snapshot();
+    let before = w.sim.snapshot();
     let range = KeyRange {
         begin: OwnedBound::Included(emp_key(600)),
         end: OwnedBound::Included(emp_key(650)),
@@ -214,7 +214,7 @@ fn range_scan_touches_only_needed_partition() {
         )
         .unwrap();
     assert_eq!(scan.rows.len(), 51);
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.snapshot() - before;
     // Only $DATA2 was consulted: 51 narrow rows fit one virtual block.
     assert_eq!(d.msgs_fs_dp, 1);
 }
@@ -228,7 +228,7 @@ fn figure_2_read_via_alternate_key() {
     // All employees in DEPT 3: index range on prefix (dept = 3).
     let prefix = encode_key_prefix(&[(FieldType::Int, Value::Int(3))]);
     let range = KeyRange::prefix(prefix);
-    let before = w.sim.metrics.snapshot();
+    let before = w.sim.snapshot();
     let rows =
         w.fs.read_via_index(None, &of, idx, &range, ReadLock::None)
             .unwrap();
@@ -237,7 +237,7 @@ fn figure_2_read_via_alternate_key() {
         assert_eq!(r.0[2], Value::Int(3));
         assert_eq!(r.0.len(), 4, "full base rows returned");
     }
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.snapshot() - before;
     // Figure 2's shape: one index subset message + one base read per row.
     assert_eq!(d.msgs_fs_dp, 1 + 10);
 }
@@ -290,7 +290,7 @@ fn update_of_unindexed_field_pushes_down() {
     let w = world(&["$DATA1", "$DATA2", "$IDX"]);
     let of = create_partitioned_emp(&w);
     load(&w, &of, 100);
-    let before = w.sim.metrics.snapshot();
+    let before = w.sim.snapshot();
     let txn = w.txnmgr.begin();
     // SALARY is not indexed: full pushdown, no reads back to the FS.
     let sets = SetList {
@@ -308,7 +308,7 @@ fn update_of_unindexed_field_pushes_down() {
             .unwrap();
     w.txnmgr.commit(txn, w.client).unwrap();
     assert_eq!(n, 100);
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.snapshot() - before;
     assert!(
         d.msgs_fs_dp <= 4,
         "set-oriented pushdown should need ~1 message per partition, got {}",
@@ -360,29 +360,29 @@ fn sequential_read_interfaces_message_ratio() {
     load(&w, &of, 1000);
 
     // Record-at-a-time.
-    let before = w.sim.metrics.snapshot();
+    let before = w.sim.snapshot();
     let mut cur = w.fs.ens_open(&of, None);
     let mut n = 0;
     while w.fs.ens_read_next(&mut cur).unwrap().is_some() {
         n += 1;
     }
     assert_eq!(n, 1000);
-    let record_at_a_time = w.sim.metrics.since(&before).msgs_fs_dp;
+    let record_at_a_time = (w.sim.snapshot() - before).msgs_fs_dp;
 
     // RSBB.
     let txn = w.txnmgr.begin();
-    let before = w.sim.metrics.snapshot();
+    let before = w.sim.snapshot();
     let mut cur: EnscribeCursor = w.fs.ens_open_sbb(&of, txn).unwrap();
     let mut n = 0;
     while w.fs.ens_read_next(&mut cur).unwrap().is_some() {
         n += 1;
     }
     assert_eq!(n, 1000);
-    let rsbb = w.sim.metrics.since(&before).msgs_fs_dp;
+    let rsbb = (w.sim.snapshot() - before).msgs_fs_dp;
     w.txnmgr.commit(txn, w.client).unwrap();
 
     // VSBB with projection (narrow rows pack densely).
-    let before = w.sim.metrics.snapshot();
+    let before = w.sim.snapshot();
     let scan =
         w.fs.scan(
             None,
@@ -395,7 +395,7 @@ fn sequential_read_interfaces_message_ratio() {
         )
         .unwrap();
     assert_eq!(scan.rows.len(), 1000);
-    let vsbb = w.sim.metrics.since(&before).msgs_fs_dp;
+    let vsbb = (w.sim.snapshot() - before).msgs_fs_dp;
 
     assert!(record_at_a_time >= 1000);
     assert!(
@@ -431,7 +431,7 @@ fn enscribe_rewrite_is_read_plus_write() {
     let of = create_partitioned_emp(&w);
     load(&w, &of, 10);
     let txn = w.txnmgr.begin();
-    let before = w.sim.metrics.snapshot();
+    let before = w.sim.snapshot();
     // ENSCRIBE discipline: read the record, change a field, write back.
     let old =
         w.fs.ens_read(Some(txn), &of, &emp_key(4), ReadLock::Shared)
@@ -440,7 +440,7 @@ fn enscribe_rewrite_is_read_plus_write() {
     let mut new = old.0.clone();
     new[3] = Value::Double(4321.0);
     w.fs.ens_rewrite(txn, &of, &old.0, &new).unwrap();
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.snapshot() - before;
     assert_eq!(d.msgs_fs_dp, 2, "read + write");
     w.txnmgr.commit(txn, w.client).unwrap();
     let got =
@@ -455,13 +455,13 @@ fn blocked_inserter_batches_messages() {
     let w = world(&["$DATA1", "$DATA2", "$IDX"]);
     let of = create_partitioned_emp(&w);
     let txn = w.txnmgr.begin();
-    let before = w.sim.metrics.snapshot();
+    let before = w.sim.snapshot();
     let mut ins = BlockedInserter::new(&w.fs, &of, txn);
     for i in 0..400 {
         ins.push(&emp_row(i, "BULK", i % 10, 1.0)).unwrap();
     }
     ins.flush().unwrap();
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.snapshot() - before;
     w.txnmgr.commit(txn, w.client).unwrap();
     // 400 base records + 400 index entries in a handful of messages.
     assert!(
@@ -551,7 +551,7 @@ fn delete_set_pushdown_without_indices() {
     }
     w.txnmgr.commit(txn, w.client).unwrap();
 
-    let before = w.sim.metrics.snapshot();
+    let before = w.sim.snapshot();
     let txn = w.txnmgr.begin();
     let n =
         w.fs.delete_set(
@@ -563,7 +563,7 @@ fn delete_set_pushdown_without_indices() {
         .unwrap();
     w.txnmgr.commit(txn, w.client).unwrap();
     assert_eq!(n, 100);
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.snapshot() - before;
     assert!(
         d.msgs_fs_dp <= 2,
         "delete subset pushes down, got {}",
@@ -702,7 +702,7 @@ fn cursor_updater_batches_where_current() {
             nsql_dp::ReadLock::Shared,
         )
         .unwrap();
-    let before = w.sim.metrics.snapshot();
+    let before = w.sim.snapshot();
     let mut cur = crate::CursorUpdater::new(&w.fs, &of, txn);
     for (i, row) in scan.rows.iter().enumerate() {
         if i % 4 == 0 {
@@ -716,7 +716,7 @@ fn cursor_updater_batches_where_current() {
         }
     }
     let (nu, nd) = cur.flush().unwrap();
-    let d = w.sim.metrics.since(&before);
+    let d = w.sim.snapshot() - before;
     w.txnmgr.commit(txn, w.client).unwrap();
 
     assert_eq!(nd, 50);

@@ -11,11 +11,12 @@
 //!
 //! Processes register on a [`Bus`] under Tandem-style `$NAME`s with a home
 //! CPU. [`Bus::request`] performs a request/reply exchange: it looks up the
-//! server, accounts the message (count, bytes, locality) against the
-//! [`nsql_sim::Metrics`], advances the virtual clock per the cost model, and
-//! invokes the server's handler in-line (the simulation is deterministic and
-//! synchronous). Handlers may themselves send messages (e.g. a data-volume
-//! Disk Process sending audit to the audit-trail Disk Process).
+//! server, accounts the message (count, bytes, locality) in the sender's
+//! and the target's MEASURE records, advances the virtual clock per the
+//! cost model, and invokes the server's handler in-line (the simulation is
+//! deterministic and synchronous). Handlers may themselves send messages
+//! (e.g. a data-volume Disk Process sending audit to the audit-trail Disk
+//! Process).
 
 use nsql_sim::measure::{Ctr, EntityKind, FlightEntry, MeasureRecord};
 use nsql_sim::sync::{Mutex, RwLock};
@@ -552,37 +553,16 @@ impl Bus {
         server: Arc<dyn Server>,
         rec: &Arc<MeasureRecord>,
     ) -> Result<Response, BusError> {
-        let m = &self.sim.metrics;
-        m.msgs_total.inc();
         let remote = from.node != cpu.node;
-        if remote {
-            m.msgs_remote.inc();
-        }
-        match kind {
-            MsgKind::FsDp => m.msgs_fs_dp.inc(),
-            MsgKind::Redrive => {
-                m.msgs_fs_dp.inc();
-                m.msgs_redrive.inc();
-            }
-            MsgKind::Audit => m.msgs_audit.inc(),
-            MsgKind::Checkpoint => m.msgs_checkpoint.inc(),
-            MsgKind::Other => {}
-        }
-
         let response = server.handle(payload);
 
         // MEASURE: the requesting CPU sent a request and consumed a reply;
         // the target process saw the mirror image.
-        let from_rec = self.cpu_rec(from);
-        from_rec.bump(Ctr::MsgsSent);
-        from_rec.add(Ctr::BytesSent, req_size as u64);
+        let from_rec = self.account_send(from, remote, kind, req_size, rec);
         from_rec.add(Ctr::BytesRecv, response.size as u64);
         rec.bump(Ctr::MsgsRecv);
         rec.add(Ctr::BytesRecv, req_size as u64);
         rec.add(Ctr::BytesSent, response.size as u64);
-        if matches!(kind, MsgKind::Redrive) {
-            rec.bump(Ctr::MsgsRedrive);
-        }
         self.sim.flight.record(
             to,
             FlightEntry {
@@ -595,7 +575,6 @@ impl Bus {
         );
 
         let bytes = req_size + response.size;
-        m.msg_bytes_total.add(bytes as u64);
         self.sim.hist.msg_bytes.record(bytes as u64);
         self.sim.trace_emit(|| TraceEventKind::Msg {
             class: match kind {
@@ -637,14 +616,12 @@ impl Bus {
         server: Arc<dyn Server>,
         rec: &Arc<MeasureRecord>,
     ) -> Result<Response, BusError> {
-        let m = &self.sim.metrics;
         let timeout = self
             .fault
             .read()
             .as_ref()
             .map_or(10_000, |p| p.cfg.timeout_us);
         let emit_fault = |action: FaultAction| {
-            m.faults_injected.inc();
             rec.bump(Ctr::FaultsInjected);
             self.sim.flight.record(
                 to,
@@ -674,7 +651,7 @@ impl Bus {
             Fault::DropRequest => {
                 emit_fault(FaultAction::Drop);
                 self.account_lost_request(from, cpu, kind, req_size, rec);
-                m.msgs_timed_out.inc();
+                rec.bump(Ctr::MsgsTimeout);
                 self.sim.clock.advance_in(Wait::Msg, timeout);
                 Err(BusError::Timeout(to.to_string()))
             }
@@ -683,7 +660,7 @@ impl Bus {
                 self.account_lost_request(from, cpu, kind, req_size, rec);
                 // The server executed the request; only the answer is lost.
                 let _ = server.handle(payload);
-                m.msgs_timed_out.inc();
+                rec.bump(Ctr::MsgsTimeout);
                 self.sim.clock.advance_in(Wait::Msg, timeout);
                 Err(BusError::Timeout(to.to_string()))
             }
@@ -729,31 +706,43 @@ impl Bus {
         req_size: usize,
         rec: &Arc<MeasureRecord>,
     ) {
-        let m = &self.sim.metrics;
-        m.msgs_total.inc();
         let remote = from.node != cpu.node;
-        if remote {
-            m.msgs_remote.inc();
-        }
-        match kind {
-            MsgKind::FsDp => m.msgs_fs_dp.inc(),
-            MsgKind::Redrive => {
-                m.msgs_fs_dp.inc();
-                m.msgs_redrive.inc();
-            }
-            MsgKind::Audit => m.msgs_audit.inc(),
-            MsgKind::Checkpoint => m.msgs_checkpoint.inc(),
-            MsgKind::Other => {}
-        }
-        m.msg_bytes_total.add(req_size as u64);
         // MEASURE: the requester paid for a send that never answered.
-        let from_rec = self.cpu_rec(from);
-        from_rec.bump(Ctr::MsgsSent);
-        from_rec.add(Ctr::BytesSent, req_size as u64);
+        self.account_send(from, remote, kind, req_size, rec);
         rec.bump(Ctr::MsgsLost);
         self.sim
             .clock
             .advance_in(Wait::Msg, self.sim.cost.msg_cost(remote, req_size));
+    }
+
+    /// MEASURE for one request put on the wire, answered or not: the
+    /// requesting CPU sent it, and a re-drive counts at its target. Returns
+    /// the CPU's record.
+    fn account_send(
+        &self,
+        from: CpuId,
+        remote: bool,
+        kind: MsgKind,
+        req_size: usize,
+        target: &MeasureRecord,
+    ) -> Arc<MeasureRecord> {
+        let rec = self.cpu_rec(from);
+        rec.bump(Ctr::MsgsSent);
+        rec.add(Ctr::BytesSent, req_size as u64);
+        if remote {
+            rec.bump(Ctr::MsgsRemote);
+        }
+        match kind {
+            MsgKind::FsDp => rec.bump(Ctr::MsgsFsDp),
+            MsgKind::Redrive => {
+                rec.bump(Ctr::MsgsFsDp);
+                target.bump(Ctr::MsgsRedrive);
+            }
+            MsgKind::Audit => rec.bump(Ctr::MsgsAudit),
+            MsgKind::Checkpoint => rec.bump(Ctr::MsgsCheckpoint),
+            MsgKind::Other => {}
+        }
+        rec
     }
 
     /// Cost (without sending) of an exchange to `to` carrying `bytes` — used
@@ -817,7 +806,7 @@ mod tests {
         let remote_cost = sim.now() - t1;
 
         assert!(remote_cost > local_cost);
-        let s = sim.metrics.snapshot();
+        let s = sim.snapshot();
         assert_eq!(s.msgs_total, 2);
         assert_eq!(s.msgs_remote, 1);
         assert_eq!(s.msgs_fs_dp, 2);
@@ -830,7 +819,7 @@ mod tests {
         bus.register("$D", CpuId::new(0, 0), Arc::new(Echo));
         bus.request(CpuId::new(0, 0), "$D", MsgKind::Redrive, 10, Box::new(0u64))
             .unwrap();
-        let s = sim.metrics.snapshot();
+        let s = sim.snapshot();
         assert_eq!(s.msgs_fs_dp, 1);
         assert_eq!(s.msgs_redrive, 1);
     }
@@ -900,7 +889,7 @@ mod tests {
             .request(CpuId::new(0, 0), "$DATA", MsgKind::FsDp, 8, Box::new(1u64))
             .unwrap();
         assert_eq!(r.downcast::<u64>().unwrap(), 102);
-        let s = sim.metrics.snapshot();
+        let s = sim.snapshot();
         assert_eq!(s.msgs_total, 2);
         assert_eq!(s.msgs_audit, 1);
     }
@@ -962,7 +951,7 @@ mod tests {
         // The lost request went on the wire and the requester waited out
         // its timer: at least timeout_us of virtual time passed.
         assert!(sim.now() - t0 >= 7_500);
-        let s = sim.metrics.snapshot();
+        let s = sim.snapshot();
         assert_eq!(s.faults_injected, 1);
         assert_eq!(s.msgs_timed_out, 1);
         assert_eq!(s.msgs_fs_dp, 1);
@@ -1147,7 +1136,7 @@ mod tests {
                 bus.request(CpuId::new(0, 0), "$DATA", MsgKind::FsDp, 64, Box::new(1u64))
                     .unwrap();
             }
-            (sim.now() - t0, sim.metrics.snapshot().msgs_total)
+            (sim.now() - t0, sim.snapshot().msgs_total)
         };
         // Plane never armed.
         let (sim_a, bus_a) = setup();
@@ -1166,6 +1155,6 @@ mod tests {
         assert!(!bus_b.faults_enabled());
         let after = exercise(&bus_b, &sim_b);
         assert_eq!(base, after, "disabled plane must not perturb cost");
-        assert_eq!(sim_b.metrics.snapshot().faults_injected, 0);
+        assert_eq!(sim_b.snapshot().faults_injected, 0);
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! The paper's measurements are message counts, message bytes, disk I/O
 //! counts, audit volume, and path length ("CPU work"). All of those are
-//! captured here as [`Metrics`] counters, and latency shape is captured by a
+//! captured here as per-entity [`measure`] counters, viewed globally as a
+//! [`MetricsSnapshot`], and latency shape is captured by a
 //! virtual [`Clock`] advanced according to a [`CostModel`]. Nothing in the
 //! system reads wall-clock time, so every experiment is exactly reproducible.
 
@@ -20,9 +21,9 @@ pub use clock::{Clock, Micros, Wait, WaitProfile, WAIT_CATEGORIES};
 pub use cost::CostModel;
 pub use measure::{
     Ctr, EntityKind, FlightDump, FlightEntry, FlightRecorder, MeasureRecord, MeasureRegistry,
-    MeasureReport, MeasureSnapshot, COUNTER_NAMES,
+    MeasureReport, MeasureSnapshot, AUDIT_PROCESS, COUNTER_NAMES,
 };
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::MetricsSnapshot;
 pub use rng::{SimRng, Zipf};
 pub use span::{current_span, SpanAllocator, SpanGuard, SpanHeader};
 pub use trace::{
@@ -42,8 +43,6 @@ pub struct Sim {
     pub clock: Arc<Clock>,
     /// The cost model all components charge against.
     pub cost: Arc<CostModel>,
-    /// The counter registry.
-    pub metrics: Arc<Metrics>,
     /// Event-level trace recorder (off by default; see [`trace`]).
     pub trace: Arc<TraceRecorder>,
     /// Always-on latency/size distributions (see [`trace::Histograms`]).
@@ -52,6 +51,8 @@ pub struct Sim {
     pub measure: Arc<MeasureRegistry>,
     /// Always-on per-process flight rings and crash dumps (see [`measure`]).
     pub flight: Arc<FlightRecorder>,
+    /// The cluster-wide MEASURE record (`system SYSTEM`).
+    pub system: Arc<MeasureRecord>,
     /// Trace/span id allocator for causal tracing (see [`span`]).
     pub spans: Arc<SpanAllocator>,
 }
@@ -64,13 +65,14 @@ impl Sim {
 
     /// Create a simulation context with an explicit cost model.
     pub fn with_cost(cost: CostModel) -> Self {
+        let measure = Arc::new(MeasureRegistry::new());
         Sim {
+            system: measure.entity(EntityKind::System, "SYSTEM"),
             clock: Arc::new(Clock::new()),
             cost: Arc::new(cost),
-            metrics: Arc::new(Metrics::new()),
             trace: Arc::new(TraceRecorder::new()),
             hist: Arc::new(Histograms::new()),
-            measure: Arc::new(MeasureRegistry::new()),
+            measure,
             flight: Arc::new(FlightRecorder::new()),
             spans: Arc::new(SpanAllocator::new()),
         }
@@ -79,6 +81,12 @@ impl Sim {
     /// Snapshot every entity's counters at the current virtual time.
     pub fn measure_snapshot(&self) -> MeasureSnapshot {
         self.measure.snapshot(self.now())
+    }
+
+    /// The paper's counters, computed from every entity's MEASURE record
+    /// and the per-statement wait histograms.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot::from_measure(&self.measure_snapshot(), &self.hist.stmt_wait_totals())
     }
 
     /// Dump `process`'s flight ring with the current counter snapshot —
@@ -102,11 +110,12 @@ impl Sim {
     /// Account for `units` of CPU work in layer `layer`, advancing virtual
     /// time by `units * cost.cpu_work_unit_us`.
     pub fn cpu_work(&self, layer: CpuLayer, units: u64) {
-        match layer {
-            CpuLayer::Executor => self.metrics.cpu_executor.add(units),
-            CpuLayer::FileSystem => self.metrics.cpu_fs.add(units),
-            CpuLayer::DiskProcess => self.metrics.cpu_dp.add(units),
-        }
+        let ctr = match layer {
+            CpuLayer::Executor => Ctr::CpuExecutor,
+            CpuLayer::FileSystem => Ctr::CpuFs,
+            CpuLayer::DiskProcess => Ctr::CpuDp,
+        };
+        self.system.add(ctr, units);
         self.clock
             .advance_in(Wait::Cpu, units * self.cost.cpu_work_unit_us);
     }
@@ -186,7 +195,7 @@ mod tests {
         let sim = Sim::new();
         let t0 = sim.now();
         sim.cpu_work(CpuLayer::DiskProcess, 10);
-        assert_eq!(sim.metrics.cpu_dp.get(), 10);
+        assert_eq!(sim.snapshot().cpu_dp, 10);
         assert_eq!(sim.now() - t0, 10 * sim.cost.cpu_work_unit_us);
     }
 
@@ -196,7 +205,7 @@ mod tests {
         let sim2 = sim.clone();
         sim.clock.advance(100);
         assert_eq!(sim2.now(), 100);
-        sim2.metrics.msgs_total.add(3);
-        assert_eq!(sim.metrics.msgs_total.get(), 3);
+        sim2.system.add(Ctr::RowsReturned, 3);
+        assert_eq!(sim.snapshot().rows_returned, 3);
     }
 }

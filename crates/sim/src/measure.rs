@@ -47,9 +47,15 @@ pub enum EntityKind {
     Scb,
     /// Transactions, aggregated under the single `TMF` record.
     Txn,
+    /// The whole cluster, under the single `SYSTEM` record: CPU work per
+    /// layer and rows returned to the application.
+    System,
 }
 
 impl EntityKind {
+    /// Number of entity kinds (`System` is the last).
+    pub const COUNT: usize = EntityKind::System as usize + 1;
+
     /// Short lowercase tag used in reports and JSON.
     pub fn tag(self) -> &'static str {
         match self {
@@ -60,9 +66,13 @@ impl EntityKind {
             EntityKind::Cache => "cache",
             EntityKind::Scb => "scb",
             EntityKind::Txn => "txn",
+            EntityKind::System => "system",
         }
     }
 }
+
+/// Name of the audit-trail process and of its volume.
+pub const AUDIT_PROCESS: &str = "$AUDIT";
 
 macro_rules! measure_counters {
     ($($(#[$doc:meta])* $variant:ident => $name:literal,)+) => {
@@ -95,10 +105,26 @@ measure_counters! {
     MsgsSent => "msgs.sent",
     /// Messages received by this entity (server side).
     MsgsRecv => "msgs.recv",
-    /// Received messages that were re-drives of earlier requests.
+    /// Re-drives of earlier requests sent to this process, lost ones
+    /// included.
     MsgsRedrive => "msgs.redrive",
     /// Requests lost to the fault plane (dropped/timed out on this path).
     MsgsLost => "msgs.lost",
+    /// FS-DP interface requests sent, re-drives included (the paper's
+    /// headline metric).
+    MsgsFsDp => "msgs.fsdp",
+    /// Audit messages sent (data-volume DP to the audit-trail DP).
+    MsgsAudit => "msgs.audit",
+    /// Process-pair checkpoint messages sent (primary to backup).
+    MsgsCheckpoint => "msgs.checkpoint",
+    /// Messages sent that crossed a node boundary.
+    MsgsRemote => "msgs.remote",
+    /// Requests to this process that surfaced a virtual-time timeout to
+    /// the requester.
+    MsgsTimeout => "msgs.timeout",
+    /// Retransmitted requests answered from the sync-ID reply cache
+    /// instead of being executed again.
+    DupSuppressed => "dup.suppressed",
     /// Bytes sent (requests out plus replies returned).
     BytesSent => "bytes.sent",
     /// Bytes received (requests in plus replies consumed).
@@ -107,9 +133,9 @@ measure_counters! {
     DiskReads => "disk.reads",
     /// Physical write operations on a volume.
     DiskWrites => "disk.writes",
-    /// Blocks transferred by reads.
+    /// Blocks transferred by reads, mirror copy-back included.
     BlocksRead => "blocks.read",
-    /// Blocks transferred by writes.
+    /// Blocks transferred by writes, mirror copy-back included.
     BlocksWritten => "blocks.written",
     /// Multi-block bulk-IO strings (>1 block per operation).
     BulkIos => "bulk.ios",
@@ -121,9 +147,15 @@ measure_counters! {
     CacheEvicts => "cache.evicts",
     /// Blocks read ahead by the sequential prefetcher.
     PrefetchReads => "prefetch.reads",
-    /// Records examined by subset scans against a file.
+    /// Cache hits on a block the prefetcher read ahead.
+    PrefetchHits => "prefetch.hits",
+    /// Asynchronous write-behind I/Os.
+    WritebehindWrites => "writebehind.writes",
+    /// Records the Disk Process examined in a file: by subset scans, point
+    /// reads and sequential reads.
     RecsExamined => "recs.examined",
-    /// Records selected (passed predicate) by subset scans.
+    /// Records the Disk Process selected (passed the predicate) in a file;
+    /// every record a point or sequential read returns counts.
     RecsSelected => "recs.selected",
     /// Subset control blocks created.
     ScbCreated => "scb.created",
@@ -143,12 +175,18 @@ measure_counters! {
     TxnAborts => "txn.aborts",
     /// Transactions doomed by TMF after a participant failure.
     TxnDoomed => "txn.doomed",
-    /// Audit records generated or flushed through this entity.
+    /// Audit records generated by this entity (a data-volume process, or
+    /// TMF for commit and abort records); on the audit-trail process, the
+    /// records it flushed.
     AuditRecords => "audit.records",
-    /// Audit bytes generated or flushed through this entity.
+    /// Audit bytes, counted like `audit.records`.
     AuditBytes => "audit.bytes",
     /// Audit-trail buffer flushes.
     AuditFlushes => "audit.flushes",
+    /// Audit-trail flushes forced by a full buffer.
+    AuditFullFlushes => "audit.fullflushes",
+    /// Commits that rode an audit flush shared with an earlier commit.
+    CommitPiggybacks => "commit.piggybacks",
     /// Faults injected against this entity by the fault plane.
     FaultsInjected => "faults.injected",
     /// Durable audit records scanned during crash recovery.
@@ -174,6 +212,14 @@ measure_counters! {
     SysScans => "sys.scans",
     /// Intervals closed by the load engine's virtual-time sampler.
     SamplerIntervals => "sampler.intervals",
+    /// CPU work units of the SQL executor and application layer.
+    CpuExecutor => "cpu.executor",
+    /// CPU work units of the File System.
+    CpuFs => "cpu.fs",
+    /// CPU work units of the Disk Process.
+    CpuDp => "cpu.dp",
+    /// Rows returned to the application.
+    RowsReturned => "rows.returned",
 }
 
 /// One entity's counter record: a fixed array of relaxed atomics.
@@ -209,6 +255,10 @@ impl MeasureRecord {
     }
 }
 
+/// An entity's kind and name. Names are shared, so copying a key copies
+/// no string.
+pub type EntityKey = (EntityKind, Arc<str>);
+
 /// The per-simulation registry of entity counter records.
 ///
 /// Lookup takes a mutex, so components fetch their `Arc` once at
@@ -216,7 +266,7 @@ impl MeasureRecord {
 /// `BTreeMap` order of `(kind, name)` — deterministic across runs.
 #[derive(Debug, Default)]
 pub struct MeasureRegistry {
-    entities: Mutex<BTreeMap<(EntityKind, String), Arc<MeasureRecord>>>,
+    entities: Mutex<BTreeMap<EntityKey, Arc<MeasureRecord>>>,
 }
 
 impl MeasureRegistry {
@@ -228,12 +278,10 @@ impl MeasureRegistry {
     /// Get or create the counter record for `(kind, name)`.
     pub fn entity(&self, kind: EntityKind, name: &str) -> Arc<MeasureRecord> {
         let mut map = self.entities.lock();
-        if let Some(rec) = map.get(&(kind, name.to_string())) {
-            return Arc::clone(rec);
-        }
-        let rec = Arc::new(MeasureRecord::new());
-        map.insert((kind, name.to_string()), Arc::clone(&rec));
-        rec
+        Arc::clone(
+            map.entry((kind, Arc::from(name)))
+                .or_insert_with(|| Arc::new(MeasureRecord::new())),
+        )
     }
 
     /// Snapshot every record at virtual time `at`.
@@ -243,7 +291,7 @@ impl MeasureRegistry {
             at,
             entities: map
                 .iter()
-                .map(|((k, n), rec)| ((*k, n.clone()), rec.values()))
+                .map(|((k, n), rec)| ((*k, Arc::clone(n)), rec.values()))
                 .collect(),
         }
     }
@@ -255,14 +303,14 @@ pub struct MeasureSnapshot {
     /// Virtual time the snapshot was taken.
     pub at: Micros,
     /// `(kind, name) → counter values`, sorted.
-    pub entities: BTreeMap<(EntityKind, String), [u64; Ctr::COUNT]>,
+    pub entities: BTreeMap<EntityKey, [u64; Ctr::COUNT]>,
 }
 
 impl MeasureSnapshot {
     /// Counter `c` of entity `(kind, name)`, zero if the entity is unknown.
     pub fn get(&self, kind: EntityKind, name: &str, c: Ctr) -> u64 {
         self.entities
-            .get(&(kind, name.to_string()))
+            .get(&(kind, Arc::from(name)))
             .map_or(0, |v| v[c as usize])
     }
 

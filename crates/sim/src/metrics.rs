@@ -1,69 +1,23 @@
-//! Metrics: the counters the paper's evaluation is expressed in.
+//! The paper's counters as one view over MEASURE.
 //!
-//! A [`Metrics`] registry lives in the [`crate::Sim`] context; every
-//! component increments counters as it works. Experiments take a
-//! [`MetricsSnapshot`] before and after a workload and subtract.
+//! Every event bumps one counter on one entity of the
+//! [`crate::measure::MeasureRegistry`]. A [`MetricsSnapshot`] is computed
+//! from a MEASURE snapshot by [`MetricsSnapshot::from_measure`], so the
+//! global totals the experiments report can never disagree with the
+//! per-entity records. Experiments take a snapshot before and after a
+//! workload and subtract.
 
+use crate::clock::{Wait, WaitProfile};
+use crate::measure::{Ctr, EntityKind, MeasureSnapshot, AUDIT_PROCESS};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A single monotone counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Increment by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Increment by `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-macro_rules! metrics {
-    ($(#[doc = $doc:literal] $name:ident,)+) => {
-        /// The full counter registry of a simulated cluster.
-        #[derive(Debug, Default)]
-        pub struct Metrics {
-            $(#[doc = $doc] pub $name: Counter,)+
-        }
-
-        /// A point-in-time copy of every counter. Supports subtraction to
-        /// obtain per-workload deltas.
+macro_rules! snapshot_fields {
+    ($($(#[doc = $doc:literal])+ $name:ident,)+) => {
+        /// A point-in-time copy of the paper's counters. Supports
+        /// subtraction to obtain per-workload deltas.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct MetricsSnapshot {
-            $(#[doc = $doc] pub $name: u64,)+
-        }
-
-        impl Metrics {
-            /// Fresh registry with all counters at zero.
-            pub fn new() -> Self {
-                Self::default()
-            }
-
-            /// Copy every counter.
-            pub fn snapshot(&self) -> MetricsSnapshot {
-                MetricsSnapshot {
-                    $($name: self.$name.get(),)+
-                }
-            }
-
-            /// Delta of every counter since `before`. Saturates at zero so
-            /// out-of-order snapshots report 0 rather than panicking.
-            pub fn since(&self, before: &MetricsSnapshot) -> MetricsSnapshot {
-                let now = self.snapshot();
-                MetricsSnapshot {
-                    $($name: now.$name.saturating_sub(before.$name),)+
-                }
-            }
+            $($(#[doc = $doc])+ pub $name: u64,)+
         }
 
         impl MetricsSnapshot {
@@ -75,27 +29,18 @@ macro_rules! metrics {
 
         impl std::ops::Sub for MetricsSnapshot {
             type Output = MetricsSnapshot;
+            /// Saturates at zero, so out-of-order snapshots report 0 rather
+            /// than panicking.
             fn sub(self, rhs: MetricsSnapshot) -> MetricsSnapshot {
                 MetricsSnapshot {
                     $($name: self.$name.saturating_sub(rhs.$name),)+
                 }
             }
         }
-
-        impl fmt::Display for MetricsSnapshot {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                for (name, value) in self.iter() {
-                    if value != 0 {
-                        writeln!(f, "  {name:<28} {value}")?;
-                    }
-                }
-                Ok(())
-            }
-        }
     };
 }
 
-metrics! {
+snapshot_fields! {
     /// Total request/reply message exchanges over the message system.
     msgs_total,
     /// Message exchanges that crossed a node boundary.
@@ -114,9 +59,9 @@ metrics! {
     disk_reads,
     /// Disk write operations issued.
     disk_writes,
-    /// Blocks transferred by disk reads.
+    /// Blocks transferred by disk reads, mirror copy-back included.
     disk_blocks_read,
-    /// Blocks transferred by disk writes.
+    /// Blocks transferred by disk writes, mirror copy-back included.
     disk_blocks_written,
     /// Disk I/Os that transferred more than one block (bulk I/O).
     disk_bulk_ios,
@@ -124,7 +69,7 @@ metrics! {
     cache_hits,
     /// Buffer-pool lookups that missed and required a disk read.
     cache_misses,
-    /// Bulk reads issued by the pre-fetcher.
+    /// Blocks read ahead by the pre-fetcher.
     prefetch_reads,
     /// Cache hits satisfied from a pre-fetched block.
     prefetch_hits,
@@ -156,9 +101,11 @@ metrics! {
     cpu_fs,
     /// CPU work units accounted to the Disk Process.
     cpu_dp,
-    /// Records examined by Disk Process predicate evaluation.
+    /// Records the Disk Process examined: by subset scans, point reads and
+    /// sequential reads.
     dp_records_examined,
-    /// Records selected (passed the DP filter).
+    /// Records the Disk Process selected (passed the filter; every record
+    /// a point or sequential read returns).
     dp_records_selected,
     /// Subset Control Blocks created.
     subset_control_blocks,
@@ -194,31 +141,94 @@ metrics! {
     stmt_wait_other_us,
 }
 
-impl Metrics {
-    /// Accumulate one statement's wait-profile delta into the per-category
-    /// statement-wait counters.
-    pub fn record_stmt_wait(&self, wait: &crate::clock::WaitProfile) {
-        use crate::clock::Wait;
-        for (w, us) in wait.iter() {
-            if us == 0 {
-                continue;
-            }
-            match w {
-                Wait::Cpu => self.stmt_wait_cpu_us.add(us),
-                Wait::Msg => self.stmt_wait_msg_us.add(us),
-                Wait::Disk => self.stmt_wait_disk_us.add(us),
-                Wait::Lock => self.stmt_wait_lock_us.add(us),
-                Wait::Commit => self.stmt_wait_commit_us.add(us),
-                Wait::Retry => self.stmt_wait_retry_us.add(us),
-                Wait::Restart => self.stmt_wait_restart_us.add(us),
-                Wait::Admission => self.stmt_wait_admission_us.add(us),
-                Wait::Other => self.stmt_wait_other_us.add(us),
+impl fmt::Display for MetricsSnapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (name, value) in self.iter() {
+            if value != 0 {
+                writeln!(f, "  {name:<28} {value}")?;
             }
         }
+        Ok(())
     }
 }
 
 impl MetricsSnapshot {
+    /// The paper's counters computed from a MEASURE snapshot (or interval
+    /// delta): each field sums one counter over every entity of one kind,
+    /// except message bytes (sent plus received) and audit volume (which
+    /// leaves out the trail's flushes). `stmt_wait` supplies the nine
+    /// `stmt_wait_*_us` fields.
+    pub fn from_measure(m: &MeasureSnapshot, stmt_wait: &WaitProfile) -> MetricsSnapshot {
+        use Ctr::*;
+        use EntityKind::*;
+        let mut sums = [[0u64; Ctr::COUNT]; EntityKind::COUNT];
+        for ((kind, _), vals) in &m.entities {
+            for (s, v) in sums[*kind as usize].iter_mut().zip(vals) {
+                *s += v;
+            }
+        }
+        let t = |k: EntityKind, c: Ctr| sums[k as usize][c as usize];
+        // The trail process's audit.* counters count what it flushed, not
+        // what was generated.
+        let flushed = |c: Ctr| {
+            m.entities
+                .iter()
+                .find(|((k, n), _)| *k == Process && &**n == AUDIT_PROCESS)
+                .map_or(0, |(_, v)| v[c as usize])
+        };
+        let w = |c: Wait| stmt_wait.get(c);
+        MetricsSnapshot {
+            msgs_total: t(Cpu, MsgsSent),
+            msgs_remote: t(Cpu, MsgsRemote),
+            msg_bytes_total: t(Cpu, BytesSent) + t(Cpu, BytesRecv),
+            msgs_fs_dp: t(Cpu, MsgsFsDp),
+            msgs_audit: t(Cpu, MsgsAudit),
+            msgs_checkpoint: t(Cpu, MsgsCheckpoint),
+            msgs_redrive: t(Process, MsgsRedrive),
+            disk_reads: t(Volume, DiskReads),
+            disk_writes: t(Volume, DiskWrites),
+            disk_blocks_read: t(Volume, BlocksRead),
+            disk_blocks_written: t(Volume, BlocksWritten),
+            disk_bulk_ios: t(Volume, BulkIos),
+            cache_hits: t(Cache, CacheHits),
+            cache_misses: t(Cache, CacheFaults),
+            prefetch_reads: t(Volume, PrefetchReads),
+            prefetch_hits: t(Cache, PrefetchHits),
+            writebehind_writes: t(Volume, WritebehindWrites),
+            cache_steals: t(Cache, CacheEvicts),
+            audit_records: t(Process, AuditRecords) - flushed(AuditRecords) + t(Txn, AuditRecords),
+            audit_bytes: t(Process, AuditBytes) - flushed(AuditBytes) + t(Txn, AuditBytes),
+            audit_flushes: t(Process, AuditFlushes),
+            audit_buffer_full_flushes: t(Process, AuditFullFlushes),
+            txns_committed: t(Txn, TxnCommits),
+            txns_aborted: t(Txn, TxnAborts),
+            group_commit_piggybacks: t(Txn, CommitPiggybacks),
+            lock_waits: t(Process, LockWaits),
+            deadlocks: t(Process, LockDeadlocks),
+            cpu_executor: t(System, CpuExecutor),
+            cpu_fs: t(System, CpuFs),
+            cpu_dp: t(System, CpuDp),
+            dp_records_examined: t(File, RecsExamined),
+            dp_records_selected: t(File, RecsSelected),
+            subset_control_blocks: t(Scb, ScbCreated),
+            rows_returned: t(System, RowsReturned),
+            faults_injected: t(Process, FaultsInjected),
+            msgs_timed_out: t(Process, MsgsTimeout),
+            fs_retries: t(Cpu, RetryBackoffs),
+            path_switches: t(Cpu, PathTakeovers),
+            dp_dup_suppressed: t(Process, DupSuppressed),
+            stmt_wait_cpu_us: w(Wait::Cpu),
+            stmt_wait_msg_us: w(Wait::Msg),
+            stmt_wait_disk_us: w(Wait::Disk),
+            stmt_wait_lock_us: w(Wait::Lock),
+            stmt_wait_commit_us: w(Wait::Commit),
+            stmt_wait_retry_us: w(Wait::Retry),
+            stmt_wait_restart_us: w(Wait::Restart),
+            stmt_wait_admission_us: w(Wait::Admission),
+            stmt_wait_other_us: w(Wait::Other),
+        }
+    }
+
     /// Per-category statement-wait totals in [`crate::clock::WAIT_CATEGORIES`]
     /// order (a [`crate::clock::WaitProfile`] reassembled from the counters).
     pub fn stmt_wait(&self) -> crate::clock::WaitProfile {
@@ -278,44 +288,69 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CpuLayer, Sim};
 
     #[test]
-    fn snapshot_delta() {
-        let m = Metrics::new();
-        m.msgs_total.add(5);
-        let before = m.snapshot();
-        m.msgs_total.add(3);
-        m.disk_reads.inc();
-        let delta = m.since(&before);
-        assert_eq!(delta.msgs_total, 3);
-        assert_eq!(delta.disk_reads, 1);
-        assert_eq!(delta.disk_writes, 0);
-    }
-
-    #[test]
-    fn sub_operator_matches_since() {
-        let m = Metrics::new();
-        let s0 = m.snapshot();
-        m.cache_hits.add(7);
-        let s1 = m.snapshot();
-        assert_eq!((s1 - s0).cache_hits, 7);
-        assert_eq!(m.since(&s0), s1 - s0);
-    }
-
-    #[test]
-    fn since_saturates_on_out_of_order_snapshots() {
-        let m = Metrics::new();
-        m.msgs_total.add(10);
-        let later = m.snapshot();
-        // A snapshot taken "before" counters advanced, subtracted the wrong
-        // way round, must clamp to zero instead of panicking.
-        let earlier = MetricsSnapshot::default();
-        assert_eq!((earlier - later).msgs_total, 0);
-        let delta = m.since(&MetricsSnapshot {
-            msgs_total: 99,
+    fn sub_saturates_on_out_of_order_snapshots() {
+        let later = MetricsSnapshot {
+            msgs_total: 10,
             ..MetricsSnapshot::default()
-        });
-        assert_eq!(delta.msgs_total, 0);
+        };
+        let earlier = MetricsSnapshot::default();
+        assert_eq!((later - earlier).msgs_total, 10);
+        // Subtracted the wrong way round, the delta clamps to zero instead
+        // of panicking.
+        assert_eq!((earlier - later).msgs_total, 0);
+    }
+
+    #[test]
+    fn fields_sum_one_counter_over_one_entity_kind() {
+        let sim = Sim::new();
+        let before = sim.snapshot();
+        sim.measure
+            .entity(EntityKind::Cache, "$DATA1")
+            .add(Ctr::CacheHits, 3);
+        sim.measure
+            .entity(EntityKind::Cache, "$DATA2")
+            .add(Ctr::CacheHits, 4);
+        // Another kind's counter of the same name is not summed in.
+        sim.measure
+            .entity(EntityKind::Process, "$DATA1")
+            .add(Ctr::CacheHits, 100);
+        sim.cpu_work(CpuLayer::DiskProcess, 5);
+        let d = sim.snapshot() - before;
+        assert_eq!(d.cache_hits, 7);
+        assert_eq!(d.cpu_dp, 5);
+        assert_eq!(d.cpu_fs, 0);
+    }
+
+    #[test]
+    fn audit_volume_counts_generation_not_trail_flushes() {
+        let sim = Sim::new();
+        let vol = sim.measure.entity(EntityKind::Process, "$DATA1");
+        vol.add(Ctr::AuditRecords, 5);
+        vol.add(Ctr::AuditBytes, 500);
+        let tmf = sim.measure.entity(EntityKind::Txn, "TMF");
+        tmf.add(Ctr::AuditRecords, 1);
+        tmf.add(Ctr::AuditBytes, 24);
+        let trail = sim.measure.entity(EntityKind::Process, AUDIT_PROCESS);
+        trail.add(Ctr::AuditRecords, 6);
+        trail.add(Ctr::AuditBytes, 524);
+        let s = sim.snapshot();
+        assert_eq!(s.audit_records, 6);
+        assert_eq!(s.audit_bytes, 524);
+    }
+
+    #[test]
+    fn stmt_wait_fields_are_the_histogram_sums() {
+        let sim = Sim::new();
+        let mut wait = WaitProfile::default();
+        wait.us[Wait::Disk.index()] = 70;
+        sim.hist.record_stmt_wait(&wait);
+        sim.hist.record_stmt_wait(&wait);
+        let s = sim.snapshot();
+        assert_eq!(s.stmt_wait_disk_us, 140);
+        assert_eq!(s.stmt_wait().total(), 140);
     }
 
     #[test]
@@ -341,10 +376,11 @@ mod tests {
 
     #[test]
     fn iter_names_nonempty_and_display() {
-        let m = Metrics::new();
-        m.rows_returned.add(2);
-        let s = m.snapshot();
-        assert!(s.iter().count() > 20);
+        let s = MetricsSnapshot {
+            rows_returned: 2,
+            ..MetricsSnapshot::default()
+        };
+        assert_eq!(s.iter().count(), 48);
         let shown = format!("{s}");
         assert!(shown.contains("rows_returned"));
         assert!(!shown.contains("disk_reads"), "zero counters are hidden");

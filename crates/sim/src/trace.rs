@@ -581,6 +581,13 @@ impl Histograms {
         &self.stmt_wait_us[w.index()]
     }
 
+    /// Per-category sums of every statement's wait.
+    pub fn stmt_wait_totals(&self) -> WaitProfile {
+        WaitProfile {
+            us: std::array::from_fn(|i| self.stmt_wait_us[i].sum()),
+        }
+    }
+
     /// Record one statement's wait-profile delta (non-zero categories only).
     pub fn record_stmt_wait(&self, wait: &WaitProfile) {
         for (w, us) in wait.iter() {

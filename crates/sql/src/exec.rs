@@ -167,13 +167,13 @@ impl Executor<'_> {
 
     fn mark(&self) -> OpMark {
         OpMark {
-            before: self.sim().metrics.snapshot(),
+            before: self.sim().snapshot(),
             t0: self.sim().clock.now(),
         }
     }
 
     fn close_op(&self, label: String, rows: u64, mark: OpMark, stats: &mut Vec<OpStats>) {
-        let d = self.sim().metrics.snapshot() - mark.before;
+        let d = self.sim().snapshot() - mark.before;
         stats.push(OpStats {
             label,
             rows,
@@ -298,9 +298,8 @@ impl Executor<'_> {
         }
 
         self.sim()
-            .metrics
-            .rows_returned
-            .add(result.rows.len() as u64);
+            .system
+            .add(Ctr::RowsReturned, result.rows.len() as u64);
         Ok(result)
     }
 

@@ -26,6 +26,7 @@
 //! it directly lets flushes be scheduled at their exact group-commit times.
 
 use crate::audit::{AuditBody, AuditRecord, Lsn, LsnSource};
+use crate::txn::TMF_ENTITY;
 use nsql_lock::TxnId;
 use nsql_msg::{Bus, CpuId, MsgKind, Response, Server};
 use nsql_sim::sync::Mutex;
@@ -34,7 +35,7 @@ use std::any::Any;
 use std::sync::Arc;
 
 /// Conventional process name of the audit-trail Disk Process.
-pub const AUDIT_PROCESS: &str = "$AUDIT";
+pub use nsql_sim::AUDIT_PROCESS;
 
 /// Group-commit timer policy.
 #[derive(Debug, Clone, Copy)]
@@ -151,6 +152,10 @@ pub struct Trail {
     inner: Mutex<TrailInner>,
     /// MEASURE record of the audit-trail process.
     rec: Arc<MeasureRecord>,
+    /// MEASURE record of the trail's volume: the flush I/O.
+    volume_rec: Arc<MeasureRecord>,
+    /// TMF's MEASURE record: commit and abort records, shared flushes.
+    tmf_rec: Arc<MeasureRecord>,
 }
 
 impl Trail {
@@ -158,6 +163,8 @@ impl Trail {
     pub fn new(sim: Sim, lsns: Arc<LsnSource>, timer: CommitTimer) -> Arc<Self> {
         let buffer_capacity = sim.cost.bulk_io_max;
         let rec = sim.measure.entity(EntityKind::Process, AUDIT_PROCESS);
+        let volume_rec = sim.measure.entity(EntityKind::Volume, AUDIT_PROCESS);
+        let tmf_rec = sim.measure.entity(EntityKind::Txn, TMF_ENTITY);
         Arc::new(Trail {
             sim,
             lsns,
@@ -165,6 +172,8 @@ impl Trail {
             timer: Mutex::new(timer),
             inner: Mutex::new(TrailInner::default()),
             rec,
+            volume_rec,
+            tmf_rec,
         })
     }
 
@@ -269,26 +278,12 @@ impl Trail {
     /// Flush the buffer as one audit write, starting no earlier than `at`.
     /// Returns the completion time.
     fn flush(&self, inner: &mut TrailInner, at: Micros, buffer_full: bool) -> Micros {
-        let m = &self.sim.metrics;
         let bytes = inner.buffer_bytes;
         let cost = &self.sim.cost;
         let blocks = bytes.div_ceil(cost.block_size).max(1);
         let max_blocks = cost.bulk_io_max_blocks();
         let nwrites = blocks.div_ceil(max_blocks);
 
-        m.audit_flushes.inc();
-        if buffer_full {
-            m.audit_buffer_full_flushes.inc();
-        }
-        m.disk_writes.add(nwrites as u64);
-        m.disk_blocks_written.add(blocks as u64);
-        if blocks > 1 {
-            m.disk_bulk_ios.add(nwrites as u64);
-        }
-        if inner.buffer_commits > 1 {
-            m.group_commit_piggybacks
-                .add(inner.buffer_commits as u64 - 1);
-        }
         if inner.buffer_commits > 0 {
             self.sim
                 .hist
@@ -297,6 +292,17 @@ impl Trail {
         }
         let (records, commits) = (inner.buffer.len() as u64, inner.buffer_commits as u64);
         self.rec.bump(Ctr::AuditFlushes);
+        if buffer_full {
+            self.rec.bump(Ctr::AuditFullFlushes);
+        }
+        self.volume_rec.add(Ctr::DiskWrites, nwrites as u64);
+        self.volume_rec.add(Ctr::BlocksWritten, blocks as u64);
+        if blocks > 1 {
+            self.volume_rec.add(Ctr::BulkIos, nwrites as u64);
+        }
+        if commits > 1 {
+            self.tmf_rec.add(Ctr::CommitPiggybacks, commits - 1);
+        }
         self.rec.add(Ctr::AuditRecords, records);
         self.rec.add(Ctr::AuditBytes, bytes as u64);
         self.sim
@@ -362,8 +368,8 @@ impl Trail {
         for r in records {
             inner.buffer_bytes += r.size();
             if r.body.is_outcome() {
-                self.sim.metrics.audit_records.inc();
-                self.sim.metrics.audit_bytes.add(r.size() as u64);
+                self.tmf_rec.bump(Ctr::AuditRecords);
+                self.tmf_rec.add(Ctr::AuditBytes, r.size() as u64);
             }
             inner.buffer.push(r);
         }
@@ -501,9 +507,6 @@ impl VolumeAuditor {
             file,
             body,
         };
-        let m = &self.bus.sim().metrics;
-        m.audit_records.inc();
-        m.audit_bytes.add(rec.size() as u64);
         self.rec.bump(Ctr::AuditRecords);
         self.rec.add(Ctr::AuditBytes, rec.size() as u64);
         let should_send = {
@@ -588,7 +591,7 @@ mod tests {
         // ... durable once the flush time passes.
         sim.clock.advance_to(completion);
         assert!(trail.durable_lsn(sim.now()) >= 1);
-        assert_eq!(sim.metrics.audit_flushes.get(), 1);
+        assert_eq!(sim.snapshot().audit_flushes, 1);
     }
 
     #[test]
@@ -601,8 +604,54 @@ mod tests {
         trail.apply(TrailRequest::Commit { txn: TxnId(3) });
         sim.clock.advance(20_000);
         trail.durable_lsn(sim.now()); // settle
-        assert_eq!(sim.metrics.audit_flushes.get(), 1, "one group flush");
-        assert_eq!(sim.metrics.group_commit_piggybacks.get(), 2);
+        assert_eq!(sim.snapshot().audit_flushes, 1, "one group flush");
+        assert_eq!(sim.snapshot().group_commit_piggybacks, 2);
+    }
+
+    #[test]
+    fn trail_flush_io_lands_on_the_audit_volume() {
+        let (sim, _bus, trail, lsns) = setup(CommitTimer::Fixed(1_000_000));
+        // 30 KB of audit: one full 7-block bulk write plus a 1-block tail.
+        let records = (0..3)
+            .map(|i| AuditRecord {
+                lsn: lsns.next(),
+                txn: TxnId(i),
+                volume: "$DATA1".into(),
+                file: 1,
+                body: update_body(10_000),
+            })
+            .collect();
+        trail.apply(TrailRequest::Append { records });
+        let snap = sim.measure_snapshot();
+        let vol = |c| snap.get(EntityKind::Volume, AUDIT_PROCESS, c);
+        assert_eq!(vol(Ctr::DiskWrites), 2);
+        assert_eq!(vol(Ctr::BlocksWritten), 8);
+        assert_eq!(vol(Ctr::BulkIos), 2);
+        let process = |c| snap.get(EntityKind::Process, AUDIT_PROCESS, c);
+        assert_eq!(process(Ctr::AuditFlushes), 1);
+        assert_eq!(process(Ctr::AuditFullFlushes), 1);
+        assert_eq!(process(Ctr::DiskWrites), 0, "the I/O is the volume's");
+    }
+
+    #[test]
+    fn commit_and_abort_records_land_on_tmf() {
+        let (sim, _bus, trail, _lsns) = setup(CommitTimer::Fixed(10_000));
+        trail.apply(TrailRequest::Commit { txn: TxnId(1) });
+        trail.apply(TrailRequest::Commit { txn: TxnId(2) });
+        trail.apply(TrailRequest::Abort { txn: TxnId(3) });
+        sim.clock.advance(20_000);
+        trail.durable_lsn(sim.now()); // settle
+        let snap = sim.measure_snapshot();
+        let tmf = |c| snap.get(EntityKind::Txn, TMF_ENTITY, c);
+        assert_eq!(tmf(Ctr::AuditRecords), 3);
+        assert!(tmf(Ctr::AuditBytes) > 0);
+        assert_eq!(tmf(Ctr::CommitPiggybacks), 1);
+        // The trail process counts the same three records as flushed, and
+        // the global view counts each generated record once.
+        let flushed = snap.get(EntityKind::Process, AUDIT_PROCESS, Ctr::AuditRecords);
+        assert_eq!(flushed, 3);
+        assert_eq!(sim.snapshot().audit_records, 3);
+        assert_eq!(sim.snapshot().audit_bytes, tmf(Ctr::AuditBytes));
     }
 
     #[test]
@@ -613,8 +662,8 @@ mod tests {
             sim.clock.advance(50_000);
         }
         trail.durable_lsn(sim.now());
-        assert_eq!(sim.metrics.audit_flushes.get(), 3);
-        assert_eq!(sim.metrics.group_commit_piggybacks.get(), 0);
+        assert_eq!(sim.snapshot().audit_flushes, 3);
+        assert_eq!(sim.snapshot().group_commit_piggybacks, 0);
     }
 
     #[test]
@@ -634,7 +683,7 @@ mod tests {
             pushed += rec.size();
             trail.apply(TrailRequest::Append { records: vec![rec] });
         }
-        assert_eq!(sim.metrics.audit_buffer_full_flushes.get(), 1);
+        assert_eq!(sim.snapshot().audit_buffer_full_flushes, 1);
         assert!(trail.durable_lsn(sim.now()) > 0);
     }
 
@@ -672,12 +721,12 @@ mod tests {
         }
         sim.clock.advance(100_000);
         trail.durable_lsn(sim.now());
-        let flushes = sim.metrics.audit_flushes.get();
+        let flushes = sim.snapshot().audit_flushes;
         assert!(
             flushes < 40,
             "adaptive timer should group fast commits ({flushes} flushes for 40 commits)"
         );
-        assert!(sim.metrics.group_commit_piggybacks.get() > 0);
+        assert!(sim.snapshot().group_commit_piggybacks > 0);
     }
 
     #[test]
@@ -724,10 +773,10 @@ mod tests {
             before: vec![(3, Value::Double(1.0))],
             after: vec![(3, Value::Double(1.07))],
         };
-        let mut sent_before = sim.metrics.msgs_audit.get();
+        let mut sent_before = sim.snapshot().msgs_audit;
         assert_eq!(sent_before, 0);
         let mut logged = 0;
-        while sim.metrics.msgs_audit.get() == sent_before {
+        while sim.snapshot().msgs_audit == sent_before {
             auditor.log(TxnId(1), 0, body());
             logged += 1;
             assert!(logged < 1000, "send threshold never reached");
@@ -737,9 +786,9 @@ mod tests {
             "field-compressed records should batch heavily (got {logged})"
         );
         // Full-image updates fill the buffer much faster.
-        sent_before = sim.metrics.msgs_audit.get();
+        sent_before = sim.snapshot().msgs_audit;
         let mut logged_full = 0;
-        while sim.metrics.msgs_audit.get() == sent_before {
+        while sim.snapshot().msgs_audit == sent_before {
             auditor.log(TxnId(1), 0, update_body(200));
             logged_full += 1;
         }

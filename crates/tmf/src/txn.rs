@@ -269,7 +269,6 @@ impl TxnManager {
             self.finish_participants(txn, &participants, false, from);
             self.trail_abort(txn, from);
             self.set_state(txn, TxnState::Aborted);
-            self.sim.metrics.txns_aborted.inc();
             self.rec.bump(Ctr::TxnAborts);
             self.sim
                 .trace_emit(|| nsql_sim::trace::TraceEventKind::TxnAbort { txn: txn.0 });
@@ -290,7 +289,6 @@ impl TxnManager {
                 self.finish_participants(txn, &participants, false, from);
                 self.trail_abort(txn, from);
                 self.set_state(txn, TxnState::Aborted);
-                self.sim.metrics.txns_aborted.inc();
                 self.rec.bump(Ctr::TxnAborts);
                 self.sim
                     .trace_emit(|| nsql_sim::trace::TraceEventKind::TxnAbort { txn: txn.0 });
@@ -320,7 +318,6 @@ impl TxnManager {
         // Phase 2: tell participants to release.
         self.finish_participants(txn, &participants, true, from);
         self.set_state(txn, TxnState::Committed);
-        self.sim.metrics.txns_committed.inc();
         self.rec.bump(Ctr::TxnCommits);
         self.sim
             .trace_emit(|| nsql_sim::trace::TraceEventKind::TxnCommit { txn: txn.0 });
@@ -334,7 +331,6 @@ impl TxnManager {
         self.finish_participants(txn, &participants, false, from);
         self.trail_abort(txn, from);
         self.set_state(txn, TxnState::Aborted);
-        self.sim.metrics.txns_aborted.inc();
         self.rec.bump(Ctr::TxnAborts);
         self.sim
             .trace_emit(|| nsql_sim::trace::TraceEventKind::TxnAbort { txn: txn.0 });
@@ -434,7 +430,7 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert!(log[0].starts_with("prepare"));
         assert!(log[1].contains("committed=true"));
-        assert_eq!(sim.metrics.txns_committed.get(), 1);
+        assert_eq!(sim.snapshot().txns_committed, 1);
     }
 
     #[test]
@@ -450,7 +446,7 @@ mod tests {
         let err = mgr.commit(txn, CpuId::new(0, 0)).unwrap_err();
         assert!(matches!(err, TxnError::ParticipantAborted(_)));
         assert_eq!(mgr.state(txn), Some(TxnState::Aborted));
-        assert_eq!(sim.metrics.txns_aborted.get(), 1);
+        assert_eq!(sim.snapshot().txns_aborted, 1);
     }
 
     #[test]

@@ -204,7 +204,7 @@ fn tracing_is_zero_cost_when_disabled_and_invisible_when_enabled() {
             .unwrap();
         s.execute("UPDATE WISC SET UNIQUE1 = UNIQUE1 + 0 WHERE UNIQUE2 < 20")
             .unwrap();
-        let m = db.sim.metrics.snapshot();
+        let m = db.snapshot();
         (
             db.sim.clock.now(),
             m.msgs_total,
@@ -236,7 +236,7 @@ fn fault_tracing_is_deterministic() {
         s.execute("UPDATE WISC SET UNIQUE1 = UNIQUE1 + 0 WHERE UNIQUE2 < 20")
             .unwrap();
         db.disable_faults();
-        let m = db.sim.metrics.snapshot();
+        let m = db.snapshot();
         (
             format_sequence(&db.sim.trace.events()),
             m.faults_injected,
@@ -345,7 +345,7 @@ fn statement_wait_profile_sums_exactly_to_elapsed() {
     assert_eq!(h.stmt_wait(Wait::Other).count(), 0);
     assert!(h.stmt_wait(Wait::Disk).p999() >= h.stmt_wait(Wait::Disk).p50());
     // ... and the metric counters, which reassemble into the same totals.
-    let counters = db.sim.metrics.snapshot().stmt_wait();
+    let counters = db.snapshot().stmt_wait();
     assert_eq!(
         counters.get(Wait::Commit),
         select.wait.get(Wait::Commit) + update.wait.get(Wait::Commit)
