@@ -5,6 +5,7 @@
 //! the file's lifetime; there is no delete.
 
 use crate::{BlockNo, BlockStore};
+use std::sync::Arc;
 
 /// Errors from entry-sequenced file operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +46,7 @@ impl<'a, S: BlockStore> EntrySequencedFile<'a, S> {
         let mut h = Vec::with_capacity(8);
         h.extend_from_slice(&0u32.to_be_bytes());
         h.extend_from_slice(&0u32.to_be_bytes());
-        store.write(header, h);
+        store.write(header, h.into());
         header
     }
 
@@ -71,7 +72,7 @@ impl<'a, S: BlockStore> EntrySequencedFile<'a, S> {
         for b in dir {
             h.extend_from_slice(&b.to_be_bytes());
         }
-        self.store.write(self.header, h);
+        self.store.write(self.header, h.into());
     }
 
     /// Append an entry at EOF; returns its stable address.
@@ -87,13 +88,13 @@ impl<'a, S: BlockStore> EntrySequencedFile<'a, S> {
                 return Err(EntrySeqError::FileFull);
             }
             let b = self.store.alloc();
-            self.store.write(b, vec![0u8; 2]); // nentries = 0
+            self.store.write(b, Arc::from([0u8; 2])); // nentries = 0
             dir.push(b);
             tail_used = 2;
         }
         let bi = dir.len() - 1;
         let block_no = dir[bi];
-        let mut block = self.store.read(block_no);
+        let mut block = self.store.read(block_no).to_vec();
         block.resize(tail_used.max(block.len()), 0);
         let offset = tail_used;
         let n = u16::from_be_bytes(block[0..2].try_into().unwrap()) + 1;
@@ -102,7 +103,7 @@ impl<'a, S: BlockStore> EntrySequencedFile<'a, S> {
         block.extend_from_slice(&(data.len() as u16).to_be_bytes());
         block.extend_from_slice(data);
         tail_used = block.len();
-        self.store.write(block_no, block);
+        self.store.write(block_no, block.into());
         self.save_header(&dir, tail_used);
         Ok(((bi as u64) << 32) | offset as u64)
     }

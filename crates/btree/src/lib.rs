@@ -23,20 +23,25 @@ pub use tree::{BTreeFile, ScanControl, TreeError};
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Block index within a volume (mirrors `nsql_disk::BlockNo` without the
 /// dependency).
 pub type BlockNo = u32;
 
 /// Abstract block storage: the Disk Process's cache, or memory in tests.
+///
+/// Block images are immutable and shared (`Arc<[u8]>`): a read hands out
+/// the store's own image and a write installs the caller's, so neither
+/// copies a block.
 pub trait BlockStore {
     /// Block size in bytes.
     fn block_size(&self) -> usize;
     /// Read a block (point access).
-    fn read(&self, block: BlockNo) -> Vec<u8>;
+    fn read(&self, block: BlockNo) -> Arc<[u8]>;
     /// Read a block as part of a sequential scan. Implementations may apply
     /// bulk I/O; by default identical to [`BlockStore::read`].
-    fn read_for_scan(&self, block: BlockNo) -> Vec<u8> {
+    fn read_for_scan(&self, block: BlockNo) -> Arc<[u8]> {
         self.read(block)
     }
     /// Advise that `block` will be needed soon (the B-tree scan announces
@@ -44,7 +49,7 @@ pub trait BlockStore {
     /// asynchronously; by default a no-op.
     fn will_need(&self, _block: BlockNo) {}
     /// Write (replace) a block.
-    fn write(&self, block: BlockNo, data: Vec<u8>);
+    fn write(&self, block: BlockNo, data: Arc<[u8]>);
     /// Allocate a fresh block number.
     fn alloc(&self) -> BlockNo;
     /// Return a block to the free pool.
@@ -54,7 +59,7 @@ pub trait BlockStore {
 /// In-memory block store for unit and property tests.
 #[derive(Default)]
 pub struct MemStore {
-    blocks: RefCell<HashMap<BlockNo, Vec<u8>>>,
+    blocks: RefCell<HashMap<BlockNo, Arc<[u8]>>>,
     next: RefCell<BlockNo>,
     free_list: RefCell<Vec<BlockNo>>,
     block_size: usize,
@@ -87,26 +92,26 @@ impl BlockStore for MemStore {
     fn block_size(&self) -> usize {
         self.block_size
     }
-    fn read(&self, block: BlockNo) -> Vec<u8> {
-        self.blocks
-            .borrow()
-            .get(&block)
-            .unwrap_or_else(|| panic!("read of unallocated block {block}"))
-            .clone()
+    fn read(&self, block: BlockNo) -> Arc<[u8]> {
+        let blocks = self.blocks.borrow();
+        match blocks.get(&block) {
+            Some(data) => Arc::clone(data),
+            None => panic!("read of unallocated block {block}"),
+        }
     }
-    fn write(&self, block: BlockNo, data: Vec<u8>) {
+    fn write(&self, block: BlockNo, data: Arc<[u8]>) {
         assert!(data.len() <= self.block_size, "block overflow");
         self.blocks.borrow_mut().insert(block, data);
     }
     fn alloc(&self) -> BlockNo {
         if let Some(b) = self.free_list.borrow_mut().pop() {
-            self.blocks.borrow_mut().insert(b, Vec::new());
+            self.blocks.borrow_mut().insert(b, Arc::from([]));
             return b;
         }
         let mut next = self.next.borrow_mut();
         let b = *next;
         *next += 1;
-        self.blocks.borrow_mut().insert(b, Vec::new());
+        self.blocks.borrow_mut().insert(b, Arc::from([]));
         b
     }
     fn free(&self, block: BlockNo) {

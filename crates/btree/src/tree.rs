@@ -8,9 +8,10 @@
 //! Range scans walk the leaf chain through [`BlockStore::read_for_scan`],
 //! which is where the Disk Process's bulk-I/O and pre-fetch policies attach.
 
-use crate::node::Node;
+use crate::node::{Node, NodeView, Slot, HEADER};
 use crate::{BlockNo, BlockStore};
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// Errors from key-sequenced file operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +62,7 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
     /// Create a new empty file; returns its root block number.
     pub fn create(store: &'a S) -> BlockNo {
         let root = store.alloc();
-        store.write(root, Node::empty_leaf().encode());
+        store.write(root, Node::empty_leaf().encode().into());
         root
     }
 
@@ -79,29 +80,23 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
         self.store.block_size()
     }
 
+    /// Decode a node for a structural edit (split, merge, borrow).
     fn load(&self, block: BlockNo) -> Node {
         Node::decode(&self.store.read(block))
     }
 
     fn save(&self, block: BlockNo, node: &Node) {
-        self.store.write(block, node.encode());
+        self.store.write(block, node.encode().into());
     }
 
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         let mut block = self.root;
         loop {
-            match self.load(block) {
-                Node::Internal { seps, children } => {
-                    let ci = seps.partition_point(|s| s.as_slice() <= key);
-                    block = children[ci];
-                }
-                Node::Leaf { entries, .. } => {
-                    return entries
-                        .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-                        .ok()
-                        .map(|i| entries[i].1.clone());
-                }
+            let bytes = self.store.read(block);
+            match NodeView::parse(&bytes) {
+                NodeView::Internal(node) => block = node.child_for(key).1,
+                NodeView::Leaf(leaf) => return leaf.get(key).map(<[u8]>::to_vec),
             }
         }
     }
@@ -124,19 +119,18 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
     fn write_entry(&self, key: &[u8], value: &[u8], mode: WriteMode) -> Result<(), TreeError> {
         // Each entry must fit in half a block so splits always succeed, and
         // separator keys must fit comfortably in internal nodes.
-        if 4 + key.len() + value.len() > (self.cap() - 7) / 2
-            || 6 + key.len() > (self.cap() - 7) / 2
+        if 4 + key.len() + value.len() > (self.cap() - HEADER) / 2
+            || 6 + key.len() > (self.cap() - HEADER) / 2
         {
             return Err(TreeError::EntryTooLarge);
         }
         if let Some((sep, right)) = self.write_rec(self.root, key, value, mode)? {
             // Root split: move the (already updated) root contents aside,
             // then make the root an internal node over the two halves.
+            // Nothing else references the root block, so sharing its image
+            // with the new left child is safe.
             let left = self.store.alloc();
             self.store.write(left, self.store.read(self.root));
-            // Fix: if the old root was a leaf, the leaf that pointed at it
-            // is none (root was leftmost); nothing else referenced the root
-            // as a leaf, so the copy is safe.
             let new_root = Node::Internal {
                 seps: vec![sep],
                 children: vec![left, right],
@@ -153,70 +147,32 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
         value: &[u8],
         mode: WriteMode,
     ) -> Result<Option<(Vec<u8>, BlockNo)>, TreeError> {
-        let mut node = self.load(block);
-        if matches!(node, Node::Leaf { .. }) {
-            {
-                let Node::Leaf { entries, .. } = &mut node else {
-                    unreachable!()
-                };
-                match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        if mode == WriteMode::Insert {
-                            return Err(TreeError::DuplicateKey);
-                        }
-                        entries[i].1 = value.to_vec();
-                    }
-                    Err(i) => {
-                        if mode == WriteMode::Update {
-                            return Err(TreeError::NotFound);
-                        }
-                        entries.insert(i, (key.to_vec(), value.to_vec()));
-                    }
+        let bytes = self.store.read(block);
+        let (ci, (sep, right)) = match NodeView::parse(&bytes) {
+            NodeView::Leaf(leaf) => {
+                let found = leaf.search(key);
+                match (&found, mode) {
+                    (Ok(_), WriteMode::Insert) => return Err(TreeError::DuplicateKey),
+                    (Err(_), WriteMode::Update) => return Err(TreeError::NotFound),
+                    _ => {}
+                }
+                let (Ok(slot) | Err(slot)) = found;
+                let entry = Some((key, value));
+                if leaf.size_after(&slot, entry) <= self.cap() {
+                    self.store.write(block, leaf.splice(&slot, entry));
+                    return Ok(None);
+                }
+                return self.split_leaf(block, Node::decode(&bytes), slot, key, value);
+            }
+            NodeView::Internal(node) => {
+                let (ci, child) = node.child_for(key);
+                match self.write_rec(child, key, value, mode)? {
+                    Some(split) => (ci, split),
+                    None => return Ok(None),
                 }
             }
-            if node.size() <= self.cap() {
-                self.save(block, &node);
-                return Ok(None);
-            }
-            // Split by cumulative size.
-            let right_block = self.store.alloc();
-            let (sep, right) = {
-                let Node::Leaf { next, entries } = &mut node else {
-                    unreachable!()
-                };
-                let sizes: Vec<usize> =
-                    entries.iter().map(|(k, v)| 4 + k.len() + v.len()).collect();
-                let split = split_point(&sizes, self.cap());
-                let right_entries = entries.split_off(split);
-                let sep = right_entries[0].0.clone();
-                let right = Node::Leaf {
-                    next: *next,
-                    entries: right_entries,
-                };
-                *next = Some(right_block);
-                (sep, right)
-            };
-            self.save(block, &node);
-            self.save(right_block, &right);
-            return Ok(Some((sep, right_block)));
-        }
-
-        // Internal node.
-        let ci = {
-            let Node::Internal { seps, .. } = &node else {
-                unreachable!()
-            };
-            seps.partition_point(|s| s.as_slice() <= key)
         };
-        let child = {
-            let Node::Internal { children, .. } = &node else {
-                unreachable!()
-            };
-            children[ci]
-        };
-        let Some((sep, right)) = self.write_rec(child, key, value, mode)? else {
-            return Ok(None);
-        };
+        let mut node = Node::decode(&bytes);
         {
             let Node::Internal { seps, children } = &mut node else {
                 unreachable!()
@@ -255,6 +211,39 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
         Ok(Some((promoted, right_block)))
     }
 
+    /// Put `(key, value)` into `slot` of the decoded leaf `node`, which then
+    /// overflows its block, and split it by cumulative size.
+    fn split_leaf(
+        &self,
+        block: BlockNo,
+        mut node: Node,
+        slot: Slot,
+        key: &[u8],
+        value: &[u8],
+    ) -> Result<Option<(Vec<u8>, BlockNo)>, TreeError> {
+        let Node::Leaf { next, entries } = &mut node else {
+            unreachable!("split_leaf on an internal node")
+        };
+        if slot.range.is_empty() {
+            entries.insert(slot.index, (key.to_vec(), value.to_vec()));
+        } else {
+            entries[slot.index].1 = value.to_vec();
+        }
+        let right_block = self.store.alloc();
+        let sizes: Vec<usize> = entries.iter().map(|(k, v)| 4 + k.len() + v.len()).collect();
+        let split = split_point(&sizes, self.cap());
+        let right_entries = entries.split_off(split);
+        let sep = right_entries[0].0.clone();
+        let right = Node::Leaf {
+            next: *next,
+            entries: right_entries,
+        };
+        *next = Some(right_block);
+        self.save(block, &node);
+        self.save(right_block, &right);
+        Ok(Some((sep, right_block)))
+    }
+
     /// Delete a record, returning its old value.
     pub fn delete(&self, key: &[u8]) -> Result<Vec<u8>, TreeError> {
         let (old, _) = self.delete_rec(self.root, key)?;
@@ -262,41 +251,44 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
         // child, pull that child up into the root block (the paper's
         // "collapses").
         loop {
-            let node = self.load(self.root);
-            match node {
-                Node::Internal { seps, children } if seps.is_empty() => {
-                    let child = children[0];
-                    let child_node = self.load(child);
-                    self.save(self.root, &child_node);
-                    self.store.free(child);
-                }
+            let bytes = self.store.read(self.root);
+            let child = match NodeView::parse(&bytes) {
+                NodeView::Internal(node) if node.is_empty() => node.first_child(),
                 _ => break,
-            }
+            };
+            self.store.write(self.root, self.store.read(child));
+            self.store.free(child);
         }
         Ok(old)
     }
 
     fn delete_rec(&self, block: BlockNo, key: &[u8]) -> Result<(Vec<u8>, bool), TreeError> {
-        let mut node = self.load(block);
-        match &mut node {
-            Node::Leaf { entries, .. } => {
-                let i = entries
-                    .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-                    .map_err(|_| TreeError::NotFound)?;
-                let old = entries.remove(i).1;
-                let under = node.size() < self.cap() / 4 || node.is_empty();
-                self.save(block, &node);
+        let bytes = self.store.read(block);
+        match NodeView::parse(&bytes) {
+            NodeView::Leaf(leaf) => {
+                let slot = leaf.search(key).map_err(|_| TreeError::NotFound)?;
+                let old = leaf.value_at(&slot).to_vec();
+                let after = leaf.splice(&slot, None);
+                let under = after.len() < self.cap() / 4 || leaf.len() == 1;
+                self.store.write(block, after);
                 Ok((old, under))
             }
-            Node::Internal { seps, children } => {
-                let ci = seps.partition_point(|s| s.as_slice() <= key);
-                let child = children[ci];
+            NodeView::Internal(node) => {
+                let (ci, child) = node.child_for(key);
                 let (old, under) = self.delete_rec(child, key)?;
-                if under {
+                let (after, parent_under) = if under {
+                    let mut node = Node::decode(&bytes);
                     self.rebalance(&mut node, ci);
-                }
-                let parent_under = node.size() < self.cap() / 4 || node.is_empty();
-                self.save(block, &node);
+                    let under = node.size() < self.cap() / 4 || node.is_empty();
+                    (node.encode().into(), under)
+                } else {
+                    // Unchanged, but written back like every node on the
+                    // path: the write marks the block dirty under this
+                    // operation's LSN.
+                    let under = node.size() < self.cap() / 4 || node.is_empty();
+                    (Arc::clone(&bytes), under)
+                };
+                self.store.write(block, after);
                 Ok((old, parent_under))
             }
         }
@@ -403,62 +395,46 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
     }
 
     /// Scan in key order from `start`, invoking `visit` per record until it
-    /// returns [`ScanControl::Stop`] or the file ends.
+    /// returns [`ScanControl::Stop`] or the file ends. Keys and values are
+    /// lent straight out of the cached blocks.
     pub fn scan<F>(&self, start: Bound<&[u8]>, mut visit: F)
     where
         F: FnMut(&[u8], &[u8]) -> ScanControl,
     {
         // Descend to the leaf that may contain the first qualifying key.
-        let seek: Option<&[u8]> = match start {
-            Bound::Unbounded => None,
-            Bound::Included(k) | Bound::Excluded(k) => Some(k),
-        };
-        let mut block = self.root;
+        let mut bytes = self.store.read_for_scan(self.root);
+        while let NodeView::Internal(node) = NodeView::parse(&bytes) {
+            let child = match start {
+                Bound::Unbounded => node.first_child(),
+                Bound::Included(k) | Bound::Excluded(k) => node.child_for(k).1,
+            };
+            bytes = self.store.read_for_scan(child);
+        }
+        // Only the first leaf can hold keys before `start`.
+        let mut from = start;
         loop {
-            match Node::decode(&self.store.read_for_scan(block)) {
-                Node::Internal { seps, children } => {
-                    let ci = match seek {
-                        None => 0,
-                        Some(k) => seps.partition_point(|s| s.as_slice() <= k),
-                    };
-                    block = children[ci];
-                }
-                Node::Leaf { next, entries } => {
-                    // Announce the next leaf so the cache can pre-fetch it
-                    // while this leaf's records are being processed.
-                    if let Some(nb) = next {
-                        self.store.will_need(nb);
-                    }
-                    let from = match start {
-                        Bound::Unbounded => 0,
-                        Bound::Included(k) => entries.partition_point(|(ek, _)| ek.as_slice() < k),
-                        Bound::Excluded(k) => entries.partition_point(|(ek, _)| ek.as_slice() <= k),
-                    };
-                    for (k, v) in &entries[from..] {
-                        if visit(k, v) == ScanControl::Stop {
-                            return;
-                        }
-                    }
-                    let mut cur = next;
-                    while let Some(nb) = cur {
-                        let Node::Leaf { next, entries } =
-                            Node::decode(&self.store.read_for_scan(nb))
-                        else {
-                            panic!("leaf chain reached an internal node");
-                        };
-                        if let Some(nn) = next {
-                            self.store.will_need(nn);
-                        }
-                        for (k, v) in &entries {
-                            if visit(k, v) == ScanControl::Stop {
-                                return;
-                            }
-                        }
-                        cur = next;
-                    }
+            let NodeView::Leaf(leaf) = NodeView::parse(&bytes) else {
+                panic!("leaf chain reached an internal node");
+            };
+            // Announce the next leaf so the cache can pre-fetch it while
+            // this leaf's records are being processed.
+            let next = leaf.next();
+            if let Some(nb) = next {
+                self.store.will_need(nb);
+            }
+            let before = |k: &[u8]| match from {
+                Bound::Unbounded => false,
+                Bound::Included(s) => k < s,
+                Bound::Excluded(s) => k <= s,
+            };
+            for (k, v) in leaf.iter().skip_while(|(k, _)| before(k)) {
+                if visit(k, v) == ScanControl::Stop {
                     return;
                 }
             }
+            from = Bound::Unbounded;
+            let Some(nb) = next else { return };
+            bytes = self.store.read_for_scan(nb);
         }
     }
 
@@ -484,16 +460,14 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
 
     /// True when the file holds no records.
     pub fn is_empty(&self) -> bool {
-        matches!(self.load_leftmost(), Node::Leaf { entries, .. } if entries.is_empty())
-    }
-
-    fn load_leftmost(&self) -> Node {
-        let mut block = self.root;
+        let mut bytes = self.store.read(self.root);
         loop {
-            let node = self.load(block);
-            match node {
-                Node::Internal { children, .. } => block = children[0],
-                leaf => return leaf,
+            match NodeView::parse(&bytes) {
+                NodeView::Internal(node) => {
+                    let child = node.first_child();
+                    bytes = self.store.read(child);
+                }
+                NodeView::Leaf(leaf) => return leaf.is_empty(),
             }
         }
     }
@@ -508,39 +482,36 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
             hi: Option<&[u8]>,
             leaves: &mut Vec<BlockNo>,
         ) {
-            match t.load(block) {
-                Node::Leaf { entries, .. } => {
-                    for w in entries.windows(2) {
-                        assert!(w[0].0 < w[1].0, "leaf keys out of order");
+            let bytes = t.store.read(block);
+            match NodeView::parse(&bytes) {
+                NodeView::Leaf(leaf) => {
+                    let keys: Vec<&[u8]> = leaf.iter().map(|(k, _)| k).collect();
+                    for w in keys.windows(2) {
+                        assert!(w[0] < w[1], "leaf keys out of order");
                     }
-                    for (k, _) in &entries {
+                    for &k in &keys {
                         if let Some(lo) = lo {
-                            assert!(k.as_slice() >= lo, "key below subtree bound");
+                            assert!(k >= lo, "key below subtree bound");
                         }
                         if let Some(hi) = hi {
-                            assert!(k.as_slice() < hi, "key above subtree bound");
+                            assert!(k < hi, "key above subtree bound");
                         }
                     }
                     leaves.push(block);
                 }
-                Node::Internal { seps, children } => {
-                    assert_eq!(children.len(), seps.len() + 1);
+                NodeView::Internal(node) => {
+                    let seps: Vec<(&[u8], BlockNo)> = node.seps().collect();
                     for w in seps.windows(2) {
-                        assert!(w[0] < w[1], "separators out of order");
+                        assert!(w[0].0 < w[1].0, "separators out of order");
                     }
-                    for (i, child) in children.iter().enumerate() {
-                        let clo = if i == 0 {
-                            lo
-                        } else {
-                            Some(seps[i - 1].as_slice())
-                        };
-                        let chi = if i == seps.len() {
-                            hi
-                        } else {
-                            Some(seps[i].as_slice())
-                        };
-                        walk(t, *child, clo, chi, leaves);
+                    let mut clo = lo;
+                    let mut child = node.first_child();
+                    for &(sep, right) in &seps {
+                        walk(t, child, clo, Some(sep), leaves);
+                        clo = Some(sep);
+                        child = right;
                     }
+                    walk(t, child, clo, hi, leaves);
                 }
             }
         }
@@ -548,21 +519,19 @@ impl<'a, S: BlockStore> BTreeFile<'a, S> {
         walk(self, self.root, None, None, &mut leaves);
         // The leaf chain must visit exactly the leaves, in order.
         let mut chain = Vec::new();
-        let mut node = Some({
-            let mut block = self.root;
-            loop {
-                match self.load(block) {
-                    Node::Internal { children, .. } => block = children[0],
-                    Node::Leaf { .. } => break block,
+        let mut block = self.root;
+        loop {
+            let bytes = self.store.read(block);
+            match NodeView::parse(&bytes) {
+                NodeView::Internal(node) => block = node.first_child(),
+                NodeView::Leaf(leaf) => {
+                    chain.push(block);
+                    match leaf.next() {
+                        Some(nb) => block = nb,
+                        None => break,
+                    }
                 }
             }
-        });
-        while let Some(b) = node {
-            chain.push(b);
-            node = match self.load(b) {
-                Node::Leaf { next, .. } => next,
-                _ => panic!("chain left the leaf level"),
-            };
         }
         assert_eq!(chain, leaves, "leaf chain does not match tree order");
     }

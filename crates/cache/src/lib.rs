@@ -22,10 +22,10 @@
 //! by the TMF audit trail: no dirty block may reach disk before the audit
 //! covering its latest change is durable.
 
-use nsql_disk::{BlockNo, Disk, DiskError};
+use nsql_disk::{Block, BlockNo, Disk, DiskError};
 use nsql_sim::sync::Mutex;
 use nsql_sim::{Ctr, Micros, Sim, Wait};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Write-ahead-log gate: visibility onto audit durability.
@@ -73,7 +73,7 @@ impl ScanOptions {
 
 #[derive(Debug)]
 struct Frame {
-    data: Vec<u8>,
+    data: Block,
     dirty: bool,
     /// Highest audit LSN covering changes to this block (0 = none).
     lsn: u64,
@@ -81,12 +81,70 @@ struct Frame {
     /// the completion time of that I/O.
     ready_at: Option<Micros>,
     last_use: u64,
+    /// The `last_use` this frame is filed under in [`PoolInner::lru`]. A
+    /// hit only raises `last_use`, so `filed <= last_use`.
+    filed: u64,
 }
 
+/// The frame map plus its LRU index.
+///
+/// `lru` holds exactly one `(filed, block)` entry per frame. A hit raises
+/// the frame's `last_use` and leaves the index alone, so a hit neither
+/// searches nor allocates. [`BufferPool::make_room`] pops the least entry;
+/// when it is stale it re-files the frame under its real `last_use` and
+/// pops again. A stale key only understates, so the first current entry
+/// popped is the least `(last_use, block)` over all frames: eviction is
+/// least-recently-used, and frames sharing one `last_use` (a bulk read or
+/// pre-fetch string) leave lowest block first.
 #[derive(Default)]
 struct PoolInner {
     frames: HashMap<BlockNo, Frame>,
+    lru: BTreeSet<(u64, BlockNo)>,
     tick: u64,
+}
+
+impl PoolInner {
+    /// Install a frame, filed under its `last_use`.
+    fn insert(&mut self, block: BlockNo, frame: Frame) {
+        self.lru.insert((frame.filed, block));
+        if let Some(old) = self.frames.insert(block, frame) {
+            self.lru.remove(&(old.filed, block));
+        }
+    }
+
+    /// Drop a frame and its index entry.
+    fn remove(&mut self, block: BlockNo) -> Option<Frame> {
+        let f = self.frames.remove(&block)?;
+        self.lru.remove(&(f.filed, block));
+        Some(f)
+    }
+
+    /// Remove and return the least-recently-used frame.
+    fn pop_lru(&mut self) -> Option<(BlockNo, Frame)> {
+        while let Some((filed, block)) = self.lru.pop_first() {
+            let Some(f) = self.frames.get_mut(&block) else {
+                continue;
+            };
+            if f.last_use == filed {
+                return self.frames.remove(&block).map(|f| (block, f));
+            }
+            f.filed = f.last_use;
+            self.lru.insert((f.filed, block));
+        }
+        None
+    }
+
+    /// A clean frame, filed under `tick`, for data just read from disk.
+    fn clean(data: Block, ready_at: Option<Micros>, tick: u64) -> Frame {
+        Frame {
+            data,
+            dirty: false,
+            lsn: 0,
+            ready_at,
+            last_use: tick,
+            filed: tick,
+        }
+    }
 }
 
 /// The buffer pool of one Disk Process.
@@ -122,7 +180,7 @@ impl BufferPool {
     }
 
     /// Read one block (point access: no bulk, no pre-fetch).
-    pub fn read(&self, block: BlockNo) -> Result<Vec<u8>, DiskError> {
+    pub fn read(&self, block: BlockNo) -> Result<Block, DiskError> {
         self.read_scan(block, ScanOptions::default())
     }
 
@@ -131,7 +189,9 @@ impl BufferPool {
     /// Pre-fetching of upcoming blocks is driven by the scanner through
     /// [`BufferPool::prefetch`] (the scanner knows the leaf chain; the pool
     /// does not).
-    pub fn read_scan(&self, block: BlockNo, opts: ScanOptions) -> Result<Vec<u8>, DiskError> {
+    ///
+    /// The returned image is the frame's own, shared: a hit copies nothing.
+    pub fn read_scan(&self, block: BlockNo, opts: ScanOptions) -> Result<Block, DiskError> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -146,8 +206,7 @@ impl BufferPool {
                 self.rec.bump(Ctr::PrefetchHits);
             }
             self.rec.bump(Ctr::CacheHits);
-            let _ = opts;
-            return Ok(f.data.clone());
+            return Ok(Arc::clone(&f.data));
         }
 
         self.rec.bump(Ctr::CacheFaults);
@@ -159,24 +218,11 @@ impl BufferPool {
         };
         self.make_room(&mut inner, run)?;
         let datas = self.disk.read(block, run)?;
-        let mut out = None;
-        for (i, data) in datas.into_iter().enumerate() {
-            let b = block + i as u32;
-            if i == 0 {
-                out = Some(data.clone());
-            }
-            inner.frames.insert(
-                b,
-                Frame {
-                    data,
-                    dirty: false,
-                    lsn: 0,
-                    ready_at: None,
-                    last_use: tick,
-                },
-            );
+        let first = Arc::clone(&datas[0]);
+        for (b, data) in (block..).zip(datas) {
+            inner.insert(b, PoolInner::clean(data, None, tick));
         }
-        Ok(out.expect("read returned at least one block"))
+        Ok(first)
     }
 
     /// Longest run of uncached, allocated blocks starting at `block`,
@@ -233,23 +279,16 @@ impl BufferPool {
         self.rec.add(Ctr::PrefetchReads, run as u64);
         self.sim
             .trace_emit(|| nsql_sim::trace::TraceEventKind::Prefetch { blocks: run as u64 });
-        for (i, data) in datas.into_iter().enumerate() {
-            inner.frames.insert(
-                from + i as u32,
-                Frame {
-                    data,
-                    dirty: false,
-                    lsn: 0,
-                    ready_at: Some(ready),
-                    last_use: tick,
-                },
-            );
+        for (b, data) in (from..).zip(datas) {
+            inner.insert(b, PoolInner::clean(data, Some(ready), tick));
         }
     }
 
     /// Install new contents for a block, tagging it with the audit LSN that
-    /// covers the change. Purely in-memory (no-force policy).
-    pub fn write(&self, block: BlockNo, data: Vec<u8>, lsn: u64) -> Result<(), DiskError> {
+    /// covers the change. Purely in-memory (no-force policy). The frame
+    /// keeps the image itself; a `Vec` is moved into a shared image once.
+    pub fn write(&self, block: BlockNo, data: impl Into<Block>, lsn: u64) -> Result<(), DiskError> {
+        let data = data.into();
         assert!(data.len() <= self.disk.block_size());
         let mut inner = self.inner.lock();
         inner.tick += 1;
@@ -263,7 +302,7 @@ impl BufferPool {
             return Ok(());
         }
         self.make_room(&mut inner, 1)?;
-        inner.frames.insert(
+        inner.insert(
             block,
             Frame {
                 data,
@@ -271,6 +310,7 @@ impl BufferPool {
                 lsn,
                 ready_at: None,
                 last_use: tick,
+                filed: tick,
             },
         );
         Ok(())
@@ -280,13 +320,9 @@ impl BufferPool {
     fn make_room(&self, inner: &mut PoolInner, need: usize) -> Result<(), DiskError> {
         let mut evicted = 0u64;
         while inner.frames.len() + need > self.capacity {
-            let victim = inner
-                .frames
-                .iter()
-                .min_by_key(|(_, f)| f.last_use)
-                .map(|(b, _)| *b)
-                .expect("capacity >= 8 so pool is nonempty when full");
-            let f = inner.frames.remove(&victim).expect("victim exists");
+            let Some((victim, f)) = inner.pop_lru() else {
+                break; // capacity >= 8, so only an oversized `need` gets here
+            };
             if f.dirty {
                 // Steal of a dirty page: WAL first, then write it out.
                 let now = self.sim.now();
@@ -306,6 +342,28 @@ impl BufferPool {
         Ok(())
     }
 
+    /// Strings of contiguous dirty blocks, in block order, each at most
+    /// `bulk_io_max_blocks` long, as `(first block, images)`.
+    fn dirty_strings(
+        &self,
+        inner: &PoolInner,
+        mut dirty: Vec<BlockNo>,
+    ) -> Vec<(BlockNo, Vec<Block>)> {
+        dirty.sort_unstable();
+        let max = self.sim.cost.bulk_io_max_blocks();
+        let mut strings: Vec<(BlockNo, Vec<Block>)> = Vec::new();
+        for b in dirty {
+            let data = Arc::clone(&inner.frames[&b].data);
+            match strings.last_mut() {
+                Some((start, run)) if *start + run.len() as u32 == b && run.len() < max => {
+                    run.push(data)
+                }
+                _ => strings.push((b, vec![data])),
+            }
+        }
+        strings
+    }
+
     /// Write-behind: write out maximal strings of contiguous dirty blocks
     /// whose audit is already durable, using asynchronous bulk I/O ("using
     /// idle time between Disk Process requests to write out strings of
@@ -315,35 +373,22 @@ impl BufferPool {
     pub fn write_behind(&self) -> usize {
         let now = self.sim.now();
         let mut inner = self.inner.lock();
-        let mut dirty: Vec<BlockNo> = inner
+        let dirty = inner
             .frames
             .iter()
             .filter(|(_, f)| f.dirty && self.wal.durable(f.lsn, now))
             .map(|(b, _)| *b)
             .collect();
-        dirty.sort_unstable();
-        let max = self.sim.cost.bulk_io_max_blocks();
         let mut written = 0usize;
-        let mut i = 0;
-        while i < dirty.len() {
-            // Maximal contiguous run from i.
-            let mut j = i + 1;
-            while j < dirty.len() && dirty[j] == dirty[j - 1] + 1 && j - i < max {
-                j += 1;
-            }
-            let start = dirty[i];
-            let datas: Vec<Vec<u8>> = (i..j)
-                .map(|k| inner.frames[&dirty[k]].data.clone())
-                .collect();
+        for (start, datas) in self.dirty_strings(&inner, dirty) {
             if self.disk.write_async(start, &datas).is_ok() {
-                for b in &dirty[i..j] {
-                    if let Some(f) = inner.frames.get_mut(b) {
+                for b in (start..).take(datas.len()) {
+                    if let Some(f) = inner.frames.get_mut(&b) {
                         f.dirty = false;
                     }
                 }
-                written += j - i;
+                written += datas.len();
             }
-            i = j;
         }
         written
     }
@@ -364,28 +409,19 @@ impl BufferPool {
             let done = self.wal.force(max_lsn, now);
             self.sim.clock.advance_to_in(Wait::Commit, done);
         }
-        let mut dirty: Vec<BlockNo> = inner
+        let dirty = inner
             .frames
             .iter()
             .filter(|(_, f)| f.dirty)
             .map(|(b, _)| *b)
             .collect();
-        dirty.sort_unstable();
-        let max = self.sim.cost.bulk_io_max_blocks();
-        let mut i = 0;
-        while i < dirty.len() {
-            let mut j = i + 1;
-            while j < dirty.len() && dirty[j] == dirty[j - 1] + 1 && j - i < max {
-                j += 1;
+        for (start, datas) in self.dirty_strings(&inner, dirty) {
+            self.disk.write(start, &datas)?;
+            for b in (start..).take(datas.len()) {
+                if let Some(f) = inner.frames.get_mut(&b) {
+                    f.dirty = false;
+                }
             }
-            let datas: Vec<Vec<u8>> = (i..j)
-                .map(|k| inner.frames[&dirty[k]].data.clone())
-                .collect();
-            self.disk.write(dirty[i], &datas)?;
-            for b in &dirty[i..j] {
-                inner.frames.get_mut(b).expect("exists").dirty = false;
-            }
-            i = j;
         }
         Ok(())
     }
@@ -403,7 +439,7 @@ impl BufferPool {
         clean.sort_unstable();
         let take = clean.len().min(n);
         for (_, b) in clean.into_iter().take(take) {
-            inner.frames.remove(&b);
+            inner.remove(b);
         }
         self.rec.add(Ctr::CacheEvicts, take as u64);
         take
@@ -418,7 +454,9 @@ impl BufferPool {
     /// Drop every frame without writing (crash simulation: cache contents
     /// are lost; the disk keeps only what was flushed).
     pub fn crash(&self) {
-        self.inner.lock().frames.clear();
+        let mut inner = self.inner.lock();
+        inner.frames.clear();
+        inner.lru.clear();
     }
 
     /// Number of cached frames (tests).
@@ -451,7 +489,7 @@ mod tests {
 
     fn fill_disk(disk: &Disk, nblocks: u32) {
         for b in 0..nblocks {
-            disk.write(b, &[vec![b as u8; 64]]).unwrap();
+            disk.write(b, &[vec![b as u8; 64].into()]).unwrap();
         }
     }
 
@@ -460,8 +498,8 @@ mod tests {
         let (sim, disk, pool) = setup(16);
         fill_disk(&disk, 4);
         let before = sim.snapshot();
-        assert_eq!(pool.read(2).unwrap(), vec![2u8; 64]);
-        assert_eq!(pool.read(2).unwrap(), vec![2u8; 64]);
+        assert_eq!(*pool.read(2).unwrap(), [2u8; 64]);
+        assert_eq!(*pool.read(2).unwrap(), [2u8; 64]);
         let d = sim.snapshot() - before;
         assert_eq!(d.cache_misses, 1);
         assert_eq!(d.cache_hits, 1);
@@ -496,6 +534,108 @@ mod tests {
         let d = sim.snapshot() - before;
         assert_eq!(d.cache_hits, 1);
         assert_eq!(d.cache_misses, 1);
+    }
+
+    /// The blocks cached, ascending.
+    fn resident(pool: &BufferPool) -> Vec<BlockNo> {
+        let mut v: Vec<BlockNo> = pool.inner.lock().frames.keys().copied().collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// The LRU index holds exactly the cached blocks, each filed under a
+    /// `last_use` no later than its real one.
+    fn assert_index_matches_frames(pool: &BufferPool) {
+        let inner = pool.inner.lock();
+        assert_eq!(inner.lru.len(), inner.frames.len(), "one entry per frame");
+        for &(filed, b) in &inner.lru {
+            let f = inner.frames.get(&b).expect("indexed block is cached");
+            assert_eq!(f.filed, filed, "block {b} filed under another key");
+            assert!(filed <= f.last_use, "block {b} filed in the future");
+        }
+    }
+
+    #[test]
+    fn ties_evict_lowest_block_first() {
+        let (_sim, disk, pool) = setup(8);
+        fill_disk(&disk, 32);
+        let bulk = ScanOptions {
+            bulk: true,
+            prefetch: false,
+        };
+        pool.read_scan(0, bulk).unwrap(); // blocks 0..7 share one last_use
+        pool.read(10).unwrap();
+        pool.read(11).unwrap(); // evicts block 0: oldest, then lowest
+        assert_eq!(resident(&pool), [1, 2, 3, 4, 5, 6, 10, 11]);
+        pool.read(3).unwrap(); // a hit moves block 3 to the young end
+        pool.read(12).unwrap();
+        assert_eq!(resident(&pool), [2, 3, 4, 5, 6, 10, 11, 12]);
+        // A seven-block pre-fetch evicts the rest of the string, then the
+        // point reads in the order they happened.
+        pool.prefetch(20);
+        assert_eq!(resident(&pool), [12, 20, 21, 22, 23, 24, 25, 26]);
+        assert_index_matches_frames(&pool);
+    }
+
+    #[test]
+    fn same_sequence_evicts_same_blocks_in_same_order() {
+        // Two pools (whose frame maps hash differently) driven by one
+        // sequence of bulk reads, pre-fetches, point reads and writes under
+        // pressure hold the same blocks after every step.
+        let (_, disk_a, a) = setup(12);
+        let (_, disk_b, b) = setup(12);
+        fill_disk(&disk_a, 96);
+        fill_disk(&disk_b, 96);
+        let bulk = ScanOptions {
+            bulk: true,
+            prefetch: false,
+        };
+        let mut rng = nsql_sim::SimRng::seed_from(0x1e0);
+        for step in 0..400 {
+            let block = rng.below(96) as BlockNo;
+            for pool in [&a, &b] {
+                match step % 4 {
+                    0 => drop(pool.read_scan(block, bulk).unwrap()),
+                    1 => pool.prefetch(block),
+                    2 => drop(pool.read(block).unwrap()),
+                    _ => pool.write(block, vec![step as u8; 8], 0).unwrap(),
+                }
+            }
+            assert_eq!(resident(&a), resident(&b), "step {step}");
+        }
+        assert_index_matches_frames(&a);
+        assert_index_matches_frames(&b);
+    }
+
+    #[test]
+    fn lru_index_matches_frames() {
+        let (_sim, disk, pool) = setup(8);
+        fill_disk(&disk, 24);
+        let bulk = ScanOptions {
+            bulk: true,
+            prefetch: false,
+        };
+        pool.read_scan(0, bulk).unwrap();
+        pool.read(2).unwrap();
+        assert_index_matches_frames(&pool);
+        pool.write(3, vec![9; 8], 1).unwrap(); // write to a cached block
+        pool.write(20, vec![9; 8], 1).unwrap(); // write that allocates a frame
+        assert_index_matches_frames(&pool);
+        pool.prefetch(8); // eviction, including a stale-filed frame
+        assert_index_matches_frames(&pool);
+        for b in 8..11 {
+            pool.read(b).unwrap(); // waited on: stealable from now on
+        }
+        assert_eq!(pool.steal_clean(3), 3);
+        assert_index_matches_frames(&pool);
+        pool.read(15).unwrap();
+        pool.read(16).unwrap();
+        assert_index_matches_frames(&pool);
+        pool.crash();
+        assert_index_matches_frames(&pool);
+        assert_eq!(pool.cached_frames(), 0);
+        pool.read(1).unwrap();
+        assert_index_matches_frames(&pool);
     }
 
     #[test]

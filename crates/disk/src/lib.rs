@@ -24,6 +24,11 @@ use std::sync::Arc;
 /// Index of a block on a volume.
 pub type BlockNo = u32;
 
+/// One block image. Images are immutable and shared: the volume, the
+/// cache and every reader hold the same allocation, so moving a block
+/// between them copies no bytes.
+pub type Block = Arc<[u8]>;
+
 /// Errors from the disk driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DiskError {
@@ -49,7 +54,7 @@ impl std::error::Error for DiskError {}
 
 #[derive(Debug, Default)]
 struct DiskState {
-    blocks: Vec<Option<Vec<u8>>>,
+    blocks: Vec<Option<Block>>,
     /// Block following the last one touched — for sequentiality detection.
     next_sequential: Option<BlockNo>,
     /// Device busy-timeline: virtual time at which the arm becomes free.
@@ -223,7 +228,7 @@ impl Disk {
 
     /// Synchronously read `nblocks` contiguous blocks starting at `start`
     /// as one (possibly bulk) I/O.
-    pub fn read(&self, start: BlockNo, nblocks: usize) -> Result<Vec<Vec<u8>>, DiskError> {
+    pub fn read(&self, start: BlockNo, nblocks: usize) -> Result<Vec<Block>, DiskError> {
         assert!(nblocks >= 1);
         assert!(
             nblocks * self.block_size() <= self.sim.cost.bulk_io_max,
@@ -240,7 +245,7 @@ impl Disk {
                 .get(b as usize)
                 .and_then(|x| x.as_ref())
                 .ok_or(DiskError::Unallocated(b))?;
-            out.push(data.clone());
+            out.push(Arc::clone(data));
         }
         self.account_io(&mut st, start, nblocks, false, true);
         Ok(out)
@@ -253,7 +258,7 @@ impl Disk {
         &self,
         start: BlockNo,
         nblocks: usize,
-    ) -> Result<(Vec<Vec<u8>>, Micros), DiskError> {
+    ) -> Result<(Vec<Block>, Micros), DiskError> {
         assert!(nblocks >= 1);
         assert!(
             nblocks * self.block_size() <= self.sim.cost.bulk_io_max,
@@ -270,7 +275,7 @@ impl Disk {
                 .get(b as usize)
                 .and_then(|x| x.as_ref())
                 .ok_or(DiskError::Unallocated(b))?;
-            out.push(data.clone());
+            out.push(Arc::clone(data));
         }
         let end = self.account_io(&mut st, start, nblocks, false, false);
         Ok((out, end))
@@ -279,7 +284,7 @@ impl Disk {
     /// Synchronously write a contiguous string of blocks as one (possibly
     /// bulk) I/O. Mirrored volumes write both halves in parallel (same
     /// cost).
-    pub fn write(&self, start: BlockNo, blocks: &[Vec<u8>]) -> Result<(), DiskError> {
+    pub fn write(&self, start: BlockNo, blocks: &[Block]) -> Result<(), DiskError> {
         assert!(!blocks.is_empty());
         assert!(
             blocks.len() * self.block_size() <= self.sim.cost.bulk_io_max,
@@ -301,7 +306,7 @@ impl Disk {
             st.blocks.resize(needed, None);
         }
         for (i, data) in blocks.iter().enumerate() {
-            st.blocks[start as usize + i] = Some(data.clone());
+            st.blocks[start as usize + i] = Some(Arc::clone(data));
         }
         self.account_io(&mut st, start, blocks.len(), true, true);
         Ok(())
@@ -309,7 +314,7 @@ impl Disk {
 
     /// Schedule an asynchronous write (write-behind). The data is durable
     /// once the returned completion time has been reached.
-    pub fn write_async(&self, start: BlockNo, blocks: &[Vec<u8>]) -> Result<Micros, DiskError> {
+    pub fn write_async(&self, start: BlockNo, blocks: &[Block]) -> Result<Micros, DiskError> {
         assert!(!blocks.is_empty());
         assert!(
             blocks.len() * self.block_size() <= self.sim.cost.bulk_io_max,
@@ -327,7 +332,7 @@ impl Disk {
             st.blocks.resize(needed, None);
         }
         for (i, data) in blocks.iter().enumerate() {
-            st.blocks[start as usize + i] = Some(data.clone());
+            st.blocks[start as usize + i] = Some(Arc::clone(data));
         }
         let end = self.account_io(&mut st, start, blocks.len(), true, false);
         self.rec.bump(Ctr::WritebehindWrites);
@@ -359,8 +364,8 @@ mod tests {
         (sim, d)
     }
 
-    fn block(fill: u8, size: usize) -> Vec<u8> {
-        vec![fill; size]
+    fn block(fill: u8, size: usize) -> Block {
+        vec![fill; size].into()
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Randomised model tests for the simulated disk, driven by a seeded RNG.
 
-use nsql_disk::Disk;
+use nsql_disk::{Block, Disk};
 use nsql_sim::{Sim, SimRng};
 use std::collections::HashMap;
 
@@ -19,8 +19,8 @@ fn read_your_writes() {
             let start = rng.below(64) as u32;
             let nblocks = 1 + rng.below(3) as usize;
             let fill = rng.below(256) as u8;
-            let blocks: Vec<Vec<u8>> = (0..nblocks)
-                .map(|i| vec![fill.wrapping_add(i as u8); 64])
+            let blocks: Vec<Block> = (0..nblocks)
+                .map(|i| vec![fill.wrapping_add(i as u8); 64].into())
                 .collect();
             disk.write(start, &blocks).unwrap();
             for i in 0..nblocks {
@@ -49,7 +49,9 @@ fn async_read_consistency() {
         let fill = rng.below(256) as u8;
         let sim = Sim::new();
         let disk = Disk::new(sim.clone(), "$P", false);
-        let data: Vec<Vec<u8>> = (0..blocks).map(|i| vec![fill ^ i as u8; 32]).collect();
+        let data: Vec<Block> = (0..blocks)
+            .map(|i| vec![fill ^ i as u8; 32].into())
+            .collect();
         disk.write(0, &data).unwrap();
         let now = sim.now();
         let (async_data, done) = disk.read_async(0, blocks).unwrap();

@@ -10,6 +10,7 @@ use crate::protocol::{FileId, FileKind};
 use nsql_btree::BlockNo;
 use nsql_records::RecordDescriptor;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One file's label entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,8 +26,9 @@ pub struct FileLabel {
 /// The whole volume label.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct VolumeLabel {
-    /// Files by id.
-    pub files: BTreeMap<FileId, FileLabel>,
+    /// Files by id. Shared, so a request borrows its file's label (and
+    /// record descriptor) instead of copying it.
+    pub files: BTreeMap<FileId, Arc<FileLabel>>,
     /// Next file id to assign.
     pub next_file: FileId,
 }
@@ -93,7 +95,7 @@ impl VolumeLabel {
                 }
                 other => panic!("corrupt file-kind tag {other}"),
             };
-            files.insert(id, FileLabel { id, kind, anchor });
+            files.insert(id, Arc::new(FileLabel { id, kind, anchor }));
         }
         VolumeLabel { files, next_file }
     }
@@ -119,27 +121,27 @@ mod tests {
         };
         label.files.insert(
             0,
-            FileLabel {
+            Arc::new(FileLabel {
                 id: 0,
                 kind: FileKind::KeySequenced(desc),
                 anchor: 1,
-            },
+            }),
         );
         label.files.insert(
             1,
-            FileLabel {
+            Arc::new(FileLabel {
                 id: 1,
                 kind: FileKind::Relative { slot_size: 128 },
                 anchor: 9,
-            },
+            }),
         );
         label.files.insert(
             2,
-            FileLabel {
+            Arc::new(FileLabel {
                 id: 2,
                 kind: FileKind::EntrySequenced,
                 anchor: 14,
-            },
+            }),
         );
         let decoded = VolumeLabel::decode(&label.encode());
         assert_eq!(decoded, label);

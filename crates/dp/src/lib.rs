@@ -339,19 +339,19 @@ impl DiskProcess {
         }
     }
 
-    fn file_label(&self, file: FileId) -> Result<FileLabel, DpError> {
+    fn file_label(&self, file: FileId) -> Result<Arc<FileLabel>, DpError> {
         self.state
             .lock()
             .label
             .files
             .get(&file)
-            .cloned()
+            .map(Arc::clone)
             .ok_or(DpError::BadFile(file))
     }
 
-    fn descriptor(&self, label: &FileLabel) -> Result<RecordDescriptor, DpError> {
+    fn descriptor(label: &FileLabel) -> Result<&RecordDescriptor, DpError> {
         match &label.kind {
-            FileKind::KeySequenced(desc) => Ok(desc.clone()),
+            FileKind::KeySequenced(desc) => Ok(desc),
             FileKind::Relative { .. } | FileKind::EntrySequenced => Err(DpError::WrongFileKind),
         }
     }
@@ -647,7 +647,9 @@ impl DiskProcess {
             let mut st = self.state.lock();
             let id = st.label.next_file;
             st.label.next_file += 1;
-            st.label.files.insert(id, FileLabel { id, kind, anchor });
+            st.label
+                .files
+                .insert(id, Arc::new(FileLabel { id, kind, anchor }));
             st.label.clone()
         };
         self.persist_label(&label);
@@ -831,8 +833,8 @@ impl DiskProcess {
                 // Compute which fields changed by comparing images — this is
                 // exactly the "costly" ENSCRIBE audit-compression option the
                 // paper contrasts with SQL's free field knowledge.
-                let desc = self.descriptor(&label)?;
-                let (b, a) = diff_fields(&desc, &before, &record)
+                let desc = Self::descriptor(&label)?;
+                let (b, a) = diff_fields(desc, &before, &record)
                     .map_err(|e| DpError::BadRecord(e.to_string()))?;
                 self.sim
                     .cpu_work(CpuLayer::DiskProcess, desc.num_fields() as u64);
@@ -889,8 +891,8 @@ impl DiskProcess {
         constraint: Option<Expr>,
     ) -> Result<DpReply, DpError> {
         let label = self.file_label(file)?;
-        let desc = self.descriptor(&label)?;
-        check_no_key_updates(&desc, &sets)?;
+        let desc = Self::descriptor(&label)?;
+        check_no_key_updates(desc, &sets)?;
         self.join_txn(txn);
         self.lock(
             txn,
@@ -902,7 +904,7 @@ impl DiskProcess {
         let tree = BTreeFile::open(&store, label.anchor);
         let before_bytes = tree.get(&key).ok_or(DpError::NotFound)?;
         let (new_bytes, before_img, after_img) =
-            apply_sets(&self.sim, &desc, &before_bytes, &sets, constraint.as_ref())?;
+            apply_sets(&self.sim, desc, &before_bytes, &sets, constraint.as_ref())?;
         let lsn = self.auditor.log(
             txn,
             file,
@@ -993,13 +995,13 @@ impl DiskProcess {
         existing: Option<SubsetId>,
     ) -> Result<DpReply, DpError> {
         let label = self.file_label(scb.file)?;
-        let desc = self.descriptor(&label)?;
+        let desc = Self::descriptor(&label)?;
         let frec = self.file_rec(scb.file);
         if existing.is_some() {
             self.scb_rec.bump(Ctr::ScbRedrives);
         }
         if let ScbOp::Update { sets, .. } = &scb.op {
-            check_no_key_updates(&desc, sets)?;
+            check_no_key_updates(desc, sets)?;
         }
         if let Some(txn) = scb.txn {
             self.join_txn(txn);
@@ -1024,12 +1026,17 @@ impl DiskProcess {
         let mut first_selected: Option<Vec<u8>> = None;
         let mut reply_bytes = 0usize;
         let mut examined = 0u32;
-        let mut last_key: Option<Vec<u8>> = None;
+        // The last key examined, kept in one buffer reused for every row.
+        let mut last_key: Vec<u8> = Vec::new();
         let mut exhausted = true;
         let mut eval_error: Option<DpError> = None;
         let is_read = matches!(scb.op, ScbOp::Read { .. });
+        // The projected row layout, built once for the whole subset.
         let projection = match &scb.op {
-            ScbOp::Read { projection, .. } => projection.clone(),
+            ScbOp::Read {
+                projection: Some(fields),
+                ..
+            } => Some((fields, desc.project(fields))),
             _ => None,
         };
 
@@ -1045,10 +1052,7 @@ impl DiskProcess {
             }
             examined += 1;
             frec.bump(Ctr::RecsExamined);
-            let raw = RawRecord {
-                desc: &desc,
-                bytes: v,
-            };
+            let raw = RawRecord { desc, bytes: v };
             let selected = match &scb.predicate {
                 None => true,
                 Some(p) => {
@@ -1063,7 +1067,8 @@ impl DiskProcess {
                     }
                 }
             };
-            last_key = Some(k.to_vec());
+            last_key.clear();
+            last_key.extend_from_slice(k);
             if selected {
                 frec.bump(Ctr::RecsSelected);
                 if first_selected.is_none() {
@@ -1072,7 +1077,7 @@ impl DiskProcess {
                 if is_read {
                     let row = match &projection {
                         None => v.to_vec(),
-                        Some(fields) => match project_record(&desc, v, fields) {
+                        Some((fields, pdesc)) => match project_record(desc, pdesc, v, fields) {
                             Ok(r) => r,
                             Err(e) => {
                                 eval_error = Some(e);
@@ -1112,8 +1117,12 @@ impl DiskProcess {
             Some(txn),
             Some(lo),
             Some(hi),
-        ) = (&scb.op, scb.txn, first_selected.clone(), last_key.clone())
-        {
+        ) = (
+            &scb.op,
+            scb.txn,
+            first_selected.clone(),
+            (examined > 0).then(|| last_key.clone()),
+        ) {
             let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
             self.lock(txn, scb.file, LockScope::interval(lo, hi), LockMode::Shared)?;
         }
@@ -1133,7 +1142,7 @@ impl DiskProcess {
                         LockMode::Exclusive,
                     )?;
                     let (new_bytes, before_img, after_img) =
-                        apply_sets(&self.sim, &desc, before_bytes, sets, constraint.as_ref())?;
+                        apply_sets(&self.sim, desc, before_bytes, sets, constraint.as_ref())?;
                     let lsn = self.auditor.log(
                         txn,
                         scb.file,
@@ -1217,7 +1226,7 @@ impl DiskProcess {
 
         Ok(DpReply::Subset {
             rows,
-            last_key,
+            last_key: (examined > 0).then_some(last_key),
             done: exhausted,
             subset: subset_id,
             examined,
@@ -1496,9 +1505,9 @@ impl DiskProcess {
             }
             UndoOp::UpdateFields { file, key, before } => {
                 if let Ok(label) = self.file_label(file) {
-                    if let Ok(desc) = self.descriptor(&label) {
+                    if let Ok(desc) = Self::descriptor(&label) {
                         if let Some(cur) = self.kind_get(&label, &key) {
-                            if let Ok(patched) = patch_record(&desc, &cur, &before) {
+                            if let Ok(patched) = patch_record(desc, &cur, &before) {
                                 self.kind_put(&label, &key, &patched);
                             }
                         }
@@ -1636,11 +1645,11 @@ impl DiskProcess {
                 };
                 label.files.insert(
                     *id,
-                    FileLabel {
+                    Arc::new(FileLabel {
                         id: *id,
                         kind: f.kind.clone(),
                         anchor,
-                    },
+                    }),
                 );
             }
             label
@@ -1713,11 +1722,11 @@ impl DiskProcess {
     }
 
     fn patch_logged(&self, label: &FileLabel, key: &[u8], img: &FieldImage, lsn: u64) {
-        let Ok(desc) = self.descriptor(label) else {
+        let Ok(desc) = Self::descriptor(label) else {
             return;
         };
         if let Some(cur) = self.kind_get(label, key) {
-            if let Ok(patched) = patch_record(&desc, &cur, img) {
+            if let Ok(patched) = patch_record(desc, &cur, img) {
                 self.kind_put_lsn(label, key, &patched, lsn);
             }
         }
@@ -1793,9 +1802,11 @@ impl Server for DiskProcess {
 // Field-level helpers
 // ----------------------------------------------------------------------
 
-/// Project `fields` out of an encoded record into a new encoded row.
+/// Project `fields` out of an encoded record into a new encoded row laid
+/// out by `pdesc` (`desc.project(fields)`).
 fn project_record(
     desc: &RecordDescriptor,
+    pdesc: &RecordDescriptor,
     bytes: &[u8],
     fields: &[u16],
 ) -> Result<Vec<u8>, DpError> {
@@ -1804,8 +1815,7 @@ fn project_record(
         .map(|&f| extract_field(desc, bytes, f))
         .collect();
     let values = values.map_err(|e| DpError::BadRecord(e.to_string()))?;
-    let pdesc = desc.project(fields);
-    encode_row(&pdesc, &values).map_err(|e| DpError::BadRecord(e.to_string()))
+    encode_row(pdesc, &values).map_err(|e| DpError::BadRecord(e.to_string()))
 }
 
 /// Evaluate a SetList + constraint against a record: returns the new

@@ -14,6 +14,7 @@ use nsql_btree::{BlockNo, BlockStore};
 use nsql_cache::{BufferPool, ScanOptions};
 use nsql_sim::sync::Mutex;
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// Volume block allocator. Block 0 is reserved for the volume label.
 #[derive(Debug)]
@@ -98,13 +99,13 @@ impl BlockStore for DpStore<'_> {
         self.pool.disk().block_size()
     }
 
-    fn read(&self, block: BlockNo) -> Vec<u8> {
+    fn read(&self, block: BlockNo) -> Arc<[u8]> {
         self.pool
             .read(block)
             .unwrap_or_else(|e| panic!("volume read failed: {e}"))
     }
 
-    fn read_for_scan(&self, block: BlockNo) -> Vec<u8> {
+    fn read_for_scan(&self, block: BlockNo) -> Arc<[u8]> {
         self.pool
             .read_scan(block, self.scan.get())
             .unwrap_or_else(|e| panic!("volume scan read failed: {e}"))
@@ -116,7 +117,7 @@ impl BlockStore for DpStore<'_> {
         }
     }
 
-    fn write(&self, block: BlockNo, data: Vec<u8>) {
+    fn write(&self, block: BlockNo, data: Arc<[u8]>) {
         self.pool
             .write(block, data, self.lsn.get())
             .unwrap_or_else(|e| panic!("volume write failed: {e}"))
@@ -137,7 +138,6 @@ mod tests {
     use nsql_cache::NoWal;
     use nsql_disk::Disk;
     use nsql_sim::Sim;
-    use std::sync::Arc;
 
     #[test]
     fn allocator_reserves_label_block() {
@@ -163,7 +163,7 @@ mod tests {
         let store = DpStore::new(&pool, &alloc);
         let b = store.alloc();
         store.lsn.set(7);
-        store.write(b, vec![1, 2, 3]);
-        assert_eq!(store.read(b), vec![1, 2, 3]);
+        store.write(b, Arc::from([1, 2, 3]));
+        assert_eq!(*store.read(b), [1, 2, 3]);
     }
 }
